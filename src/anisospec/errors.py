@@ -34,4 +34,5 @@ class MeshError(AnisoSpecError):
 
 
 class SolverError(AnisoSpecError):
-    """Iterative solver failed to converge (CLI exit code 3)."""
+    """A solve failed: factorization, eigensolver convergence or the
+    eigen-residual check (CLI exit code 3)."""

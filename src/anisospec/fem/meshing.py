@@ -154,12 +154,14 @@ def _dist_to_outline(points: np.ndarray, V: np.ndarray) -> np.ndarray:
     D = np.roll(V, -1, axis=0) - V
     L2 = np.maximum(np.sum(D * D, axis=1), 1e-300)
     out = np.empty(len(points))
-    for lo in range(0, len(points), 2048):
-        blk = points[lo : lo + 2048]
+    # blocks of about 64k point-edge pairs keep the temporaries near 1 MB each
+    step = max(1, 65536 // len(V))
+    for lo in range(0, len(points), step):
+        blk = points[lo : lo + step]
         rel = blk[:, None, :] - P[None]
         t = np.clip(np.einsum("mnd,nd->mn", rel, D) / L2, 0.0, 1.0)
         gap = rel - t[..., None] * D[None]
-        out[lo : lo + 2048] = np.sqrt(np.sum(gap * gap, axis=2)).min(axis=1)
+        out[lo : lo + step] = np.sqrt(np.sum(gap * gap, axis=2)).min(axis=1)
     return out
 
 

@@ -1,9 +1,18 @@
 """P1 finite element solvers for the Dirichlet eigenvalue and torsion problems.
 
-Euclidean solves assemble stiffness/mass/load on a triangulation and work on
-the interior nodes (zero Dirichlet data eliminated). Quadratic seminorms are
-handled by transforming the mesh: with B = diag(1/alpha) R^T the seminorm
-becomes Euclidean on B Omega, and
+A quadratic seminorm H with Gram matrix Q (H(x)^2 = x^T Q x) has the Dirichlet
+form integral(grad u . Q grad v). P1 elements are affine-equivariant, so this
+form needs no remapped mesh: three stiffness matrices, assembled once per mesh
+on the interior nodes (zero Dirichlet data eliminated), serve every Q,
+
+    K_Q = Q11 Kxx + Q12 Kxy + Q22 Kyy     (Kxy the symmetrized cross term).
+
+One sparse LU factorization of K_Q gives the torsion T_H = f^T K_Q^-1 f and
+drives shift-invert Lanczos (ARPACK) for lambda_H = min eig(K_Q, M), started
+from the torsion solution and accepted only when its residual passes
+`eig_tol`. The Euclidean solvers are the case Q = I. This is the discrete
+problem of the Euclidean solve on the mapped mesh B Omega with
+B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
 
@@ -16,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
-from scipy.sparse.linalg import cg
+from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
 from ..geometry import Polygon2D, _cross2
@@ -33,13 +43,19 @@ __all__ = [
     "torsion_euclid_fem",
 ]
 
+_EUCLID = np.eye(2)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and iteration controls for the FEM solvers."""
+    """Discretization and eigensolver controls for the FEM solvers.
+
+    eig_tol bounds the relative eigen-residual |K y - lambda M y| /
+    (lambda |M y|); max_iters caps the shift-invert Lanczos iterations, one
+    solve with the LU factors each.
+    """
 
     target_h: float = 0.05
-    linear_tol: float = 1e-10
     eig_tol: float = 1e-8
     max_iters: int = 20000
     richardson: bool = False
@@ -47,7 +63,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.target_h > 0):
             raise ValueError("target_h must be positive")
-        if not (self.linear_tol > 0 and self.eig_tol > 0):
+        if not (self.eig_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -69,8 +85,8 @@ class SpectralResult:
     provenance: str
 
 
-def p1_assemble(mesh: TriMesh):
-    """Stiffness K, consistent mass M (CSR) and load vector f for P1 elements."""
+def _local_matrices(mesh: TriMesh):
+    """Per-triangle P1 stiffness parts (xx, symmetrized xy, yy), mass and load."""
     T = mesh.triangles
     P = mesh.nodes[T]
     x, y = P[..., 0], P[..., 1]
@@ -79,93 +95,190 @@ def p1_assemble(mesh: TriMesh):
         raise SolverError("mesh contains a degenerate or flipped triangle")
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    Kloc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (2.0 * area2)[:, None, None]
+    scale = (2.0 * area2)[:, None, None]
+    bb = b[:, :, None] * b[:, None, :]
+    cc = c[:, :, None] * c[:, None, :]
+    bc = b[:, :, None] * c[:, None, :]
     Mloc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area2 / 24.0)[:, None, None]
+    return bb / scale, (bc + bc.transpose(0, 2, 1)) / scale, cc / scale, Mloc, np.repeat(area2 / 6.0, 3)
+
+
+def p1_assemble(mesh: TriMesh):
+    """Stiffness K, consistent mass M (CSR) and load vector f for P1 elements."""
+    kxx, _, kyy, Mloc, load = _local_matrices(mesh)
+    T = mesh.triangles
     rows = np.repeat(T, 3, axis=1).ravel()
     cols = np.tile(T, (1, 3)).ravel()
     n = mesh.n_nodes
-    K = coo_matrix((Kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K = coo_matrix(((kxx + kyy).ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M = coo_matrix((Mloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    f = np.zeros(n)
-    np.add.at(f, T.ravel(), np.repeat(area2 / 6.0, 3))
+    f = np.bincount(T.ravel(), weights=load, minlength=n)
     return K, M, f
 
 
-def _cg_solve(A, rhs, cfg: SolverConfig, x0=None) -> np.ndarray:
-    precond = diags(1.0 / A.diagonal())
-    x, info = cg(A, rhs, x0=x0, rtol=cfg.linear_tol, atol=0.0, maxiter=cfg.max_iters, M=precond)
-    if info != 0:
-        residual = float(np.linalg.norm(A @ x - rhs))
-        raise SolverError(
-            f"conjugate gradient did not converge in {cfg.max_iters} iterations "
-            f"(residual {residual:.3e})"
+@dataclass(frozen=True)
+class _Assembly:
+    """P1 matrices of one mesh restricted to its interior nodes. The stiffness
+    parts and the mass share one symmetric sparsity pattern, so a stored
+    (indptr, indices) pair reads the same as CSR or CSC."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    kxx: np.ndarray
+    kxy: np.ndarray
+    kyy: np.ndarray
+    M: csc_matrix
+    f: np.ndarray
+    h: float
+
+    @classmethod
+    def of(cls, mesh: TriMesh) -> "_Assembly":
+        kxx, kxy, kyy, Mloc, load = _local_matrices(mesh)
+        free = mesh.interior_nodes()
+        n = len(free)
+        if n == 0:
+            raise SolverError("mesh has no interior nodes; decrease target_h")
+        index = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        index[free] = np.arange(n)
+        local = index[mesh.triangles]
+        rows = np.repeat(local, 3, axis=1).ravel()
+        cols = np.tile(local, (1, 3)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        # sorted row-major keys of the interior pattern, and each entry's slot
+        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+        indices = (keys % n).astype(np.int32)
+
+        def gather(loc):
+            return np.bincount(slot, weights=loc.ravel()[keep], minlength=len(keys))
+
+        return cls(
+            indptr=indptr,
+            indices=indices,
+            kxx=gather(kxx),
+            kxy=gather(kxy),
+            kyy=gather(kyy),
+            M=csc_matrix((gather(Mloc), indices, indptr), shape=(n, n)),
+            f=np.bincount(mesh.triangles.ravel(), weights=load, minlength=mesh.n_nodes)[free],
+            h=mesh.h,
         )
-    return x
+
+    def stiffness(self, Q) -> csc_matrix:
+        """K_Q for the form integral(grad u . Q grad v), Q symmetric 2 x 2."""
+        data = Q[0, 0] * self.kxx + Q[0, 1] * self.kxy + Q[1, 1] * self.kyy
+        return csc_matrix((data, self.indices, self.indptr), shape=self.M.shape)
 
 
-def _torsion_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
-    K, _, f = p1_assemble(mesh)
-    free = mesh.interior_nodes()
-    if len(free) == 0:
-        raise SolverError("mesh has no interior nodes; decrease target_h")
-    Kff = K[free][:, free]
-    ff = f[free]
-    u = _cg_solve(Kff, ff, cfg)
-    return float(ff @ u)
+# the assemblies of the last mesh solved (coarse, then its refinement once a
+# Richardson pair asks for it): an optimizer visits one mesh at a time
+_LAST_ASSEMBLY: tuple[TriMesh | None, list[_Assembly]] = (None, [])
+
+
+def _assemblies(mesh: TriMesh, richardson: bool) -> list[_Assembly]:
+    global _LAST_ASSEMBLY
+    cached, levels = _LAST_ASSEMBLY
+    if cached is not mesh:
+        _LAST_ASSEMBLY = (None, [])  # let the old matrices go before building new ones
+        levels = [_Assembly.of(mesh)]
+        _LAST_ASSEMBLY = (mesh, levels)
+    if richardson and len(levels) == 1:
+        levels.append(_Assembly.of(mesh.refined()))
+    return levels[: 2 if richardson else 1]
+
+
+def _solve(a: _Assembly, Q, cfg: SolverConfig, eigen: bool = True):
+    """(lambda or None, torsion) for the form with Gram matrix Q from one
+    sparse LU factorization of K_Q."""
+    K = a.stiffness(Q)
+    # K_Q is symmetric positive definite: symmetric ordering, no pivoting
+    try:
+        lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+    u = lu.solve(a.f)
+    torsion = float(a.f @ u)
+    if not np.isfinite(torsion):
+        raise SolverError("torsion solve produced a non-finite value")
+    if not eigen:
+        return None, torsion
+    n = len(a.f)
+    if n == 1:
+        # eigsh needs two unknowns; one interior node is its own eigenpair
+        lam, y = float(K[0, 0] / a.M[0, 0]), np.ones(1)
+    else:
+        steps = 0
+
+        def apply_inverse(x):
+            nonlocal steps
+            steps += 1
+            if steps > cfg.max_iters:
+                raise SolverError(f"shift-invert Lanczos did not converge in {cfg.max_iters} iterations")
+            return lu.solve(x)
+
+        # shift-invert at 0 iterates with K_Q^-1 M from the torsion solution,
+        # a positive start close to the ground state. ARPACK tests its Ritz
+        # estimate on that operator, so it runs 100x tighter than eig_tol to
+        # leave the residual checked below well inside it.
+        try:
+            vals, vecs = eigsh(
+                K,
+                k=1,
+                M=a.M,
+                sigma=0.0,
+                OPinv=LinearOperator((n, n), matvec=apply_inverse, dtype=float),
+                v0=u,
+                ncv=min(n, 10),  # extracting the Ritz vector costs more with a longer basis
+                tol=0.01 * cfg.eig_tol,
+            )
+        except ArpackError as exc:
+            raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
+        lam, y = float(vals[0]), vecs[:, 0]
+    My = a.M @ y
+    residual = float(np.linalg.norm(K @ y - lam * My) / (lam * np.linalg.norm(My)))
+    if not residual <= cfg.eig_tol:
+        raise SolverError(f"eigen-residual {residual:.3e} exceeds eig_tol {cfg.eig_tol:.1e}")
+    return lam, torsion
+
+
+def _fem(mesh: TriMesh, Q, cfg: SolverConfig, eigen: bool = True):
+    """(lambda, torsion, h_used, lambda error, torsion error, provenance) on
+    the mesh, extrapolated from its uniform refinement under second-order
+    convergence when cfg.richardson is set."""
+    levels = _assemblies(mesh, cfg.richardson)
+    lam, tor = _solve(levels[0], Q, cfg, eigen)
+    if not cfg.richardson:
+        return lam, tor, levels[0].h, 0.0, 0.0, "fem"
+    lam_fine, tor_fine = _solve(levels[1], Q, cfg, eigen)
+    lam, err_lam = _extrapolate(lam, lam_fine)
+    tor, err_tor = _extrapolate(tor, tor_fine)
+    return lam, tor, levels[1].h, err_lam, err_tor, "fem_richardson"
+
+
+def _extrapolate(coarse, fine):
+    """Richardson value and coarse/fine difference (None stays None)."""
+    if coarse is None:
+        return None, 0.0
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
 def _lambda_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
-    K, M, f = p1_assemble(mesh)
-    free = mesh.interior_nodes()
-    if len(free) == 0:
-        raise SolverError("mesh has no interior nodes; decrease target_h")
-    Kff = K[free][:, free].tocsr()
-    Mff = M[free][:, free].tocsr()
-    # inverse power iteration on K y = M x; the torsion load is a good
-    # positive start (close to the ground state, no odd-mode contamination)
-    y = f[free]
-    y /= np.sqrt(y @ (Mff @ y))
-    rho_prev = None
-    z = None
-    # slowly separated spectra (stretched domains) need many cheap steps;
-    # warm-started inner solves keep each one inexpensive
-    for _ in range(5000):
-        z = _cg_solve(Kff, Mff @ y, cfg, x0=z)
-        norm = np.sqrt(z @ (Mff @ z))
-        if not np.isfinite(norm) or norm <= 0:
-            raise SolverError("inverse iteration produced a non-finite iterate")
-        y = z / norm
-        rho = float((y @ (Kff @ y)) / (y @ (Mff @ y)))
-        if rho_prev is not None and abs(rho - rho_prev) <= cfg.eig_tol * abs(rho):
-            return rho
-        rho_prev = rho
-    raise SolverError("inverse power iteration did not converge in 5000 steps")
+    return _solve(_assemblies(mesh, False)[0], _EUCLID, cfg)[0]
 
 
-def _solve_pair(mesh: TriMesh, cfg: SolverConfig, compute):
-    """Run `compute` on the mesh, optionally on its uniform refinement too,
-    extrapolating under second-order convergence."""
-    coarse = compute(mesh, cfg)
-    if not cfg.richardson:
-        return coarse, mesh.h, 0.0, "fem"
-    fine_mesh = mesh.refined()
-    fine = compute(fine_mesh, cfg)
-    extrapolated = (4.0 * fine - coarse) / 3.0
-    return extrapolated, fine_mesh.h, abs(fine - coarse), "fem_richardson"
+def _torsion_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
+    return _solve(_assemblies(mesh, False)[0], _EUCLID, cfg, eigen=False)[1]
 
 
 def torsion_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> SpectralResult:
     """Euclidean torsional rigidity of a polygon by P1 FEM."""
-    mesh = mesh_polygon(polygon, cfg.target_h)
-    value, h_used, err, prov = _solve_pair(mesh, cfg, _torsion_on_mesh)
-    return SpectralResult(lambda_=None, torsion=value, h_used=h_used, error_estimate=err, provenance=prov)
+    _, tor, h_used, _, err, prov = _fem(mesh_polygon(polygon, cfg.target_h), _EUCLID, cfg, eigen=False)
+    return SpectralResult(lambda_=None, torsion=tor, h_used=h_used, error_estimate=err, provenance=prov)
 
 
 def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> SpectralResult:
     """Euclidean first Dirichlet eigenvalue of a polygon by P1 FEM."""
-    mesh = mesh_polygon(polygon, cfg.target_h)
-    value, h_used, err, prov = _solve_pair(mesh, cfg, _lambda_on_mesh)
-    return SpectralResult(lambda_=value, torsion=None, h_used=h_used, error_estimate=err, provenance=prov)
+    lam, _, h_used, err, _, prov = _fem(mesh_polygon(polygon, cfg.target_h), _EUCLID, cfg)
+    return SpectralResult(lambda_=lam, torsion=None, h_used=h_used, error_estimate=err, provenance=prov)
 
 
 def transform_matrix(H: QuadraticSeminorm) -> np.ndarray:
@@ -181,10 +294,10 @@ def solve_quadratic(
 ) -> SpectralResult:
     """lambda_H and T_H on a polygon for a quadratic seminorm.
 
-    Nondegenerate H: solve the Euclidean problems on the transformed mesh of
-    B Omega (B = diag(1/alpha) R^T); then lambda_H = lambda(B Omega) and
-    T_H = T(B Omega) * prod(alpha). One vanishing alpha: exact slicing on the
-    rank-1 reduction. Zero seminorm: rejected (lambda 0, torsion infinite).
+    Nondegenerate H: one LU factorization of the anisotropic stiffness K_Q
+    (Q the Gram matrix of H) on the polygon's mesh gives both. One vanishing
+    alpha: exact slicing on the rank-1 reduction. Zero seminorm: rejected
+    (lambda 0, torsion infinite).
     """
     if not isinstance(H, QuadraticSeminorm):
         raise InvalidSeminormError("solve_quadratic expects a QuadraticSeminorm")
@@ -200,17 +313,7 @@ def solve_quadratic(
             lambda_=r.lambda_, torsion=r.torsion, h_used=0.0, error_estimate=0.0, provenance="slicing"
         )
 
-    B = transform_matrix(H)
-    base = mesh_polygon(polygon, cfg.target_h)
-    mesh = base.transformed(B)
-    det_scale = float(np.prod(H.alphas))
-
-    lam, h_lam, err_lam, prov = _solve_pair(mesh, cfg, _lambda_on_mesh)
-    tor_raw, h_tor, err_tor, _ = _solve_pair(mesh, cfg, _torsion_on_mesh)
+    lam, tor, h_used, err_lam, err_tor, prov = _fem(mesh_polygon(polygon, cfg.target_h), H.gram(), cfg)
     return SpectralResult(
-        lambda_=lam,
-        torsion=tor_raw * det_scale,
-        h_used=max(h_lam, h_tor),
-        error_estimate=max(err_lam, err_tor * det_scale),
-        provenance=prov,
+        lambda_=lam, torsion=tor, h_used=h_used, error_estimate=max(err_lam, err_tor), provenance=prov
     )

@@ -137,7 +137,7 @@ class BoundsReport:
     torsion_provenance: str = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Spectral:
     lambda_: float
     torsion: float
@@ -166,12 +166,8 @@ def _seminorm_key(H):
     if isinstance(H, Rank1Seminorm):
         return ("rank1", H.eta.tobytes())
     if isinstance(H, QuadraticSeminorm):
-        return ("quadratic", H.alphas.tobytes(), H.rotation.tobytes())
+        return ("quadratic", H.alphas.tobytes() + H.rotation.tobytes())
     raise InvalidSeminormError(f"unsupported seminorm type {type(H).__name__}")
-
-
-def _cfg_key(cfg: SolverConfig):
-    return (cfg.target_h, cfg.linear_tol, cfg.eig_tol, cfg.max_iters, cfg.richardson)
 
 
 def _ellipse_lambda(ratio: float, cfg: SolverConfig):
@@ -179,7 +175,7 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig):
     on an inscribed polygon; cached because optimizer sweeps revisit ratios."""
     # 1e-9 key granularity: ratios reached through different scalings of the
     # same seminorm differ by float roundoff and must land in one bucket
-    key = (round(float(ratio), 9), _cfg_key(cfg))
+    key = (round(float(ratio), 9), cfg)
     hit = _ELLIPSE_LAMBDA_CACHE.get(key)
     if hit is not None:
         _ELLIPSE_LAMBDA_CACHE.move_to_end(key)
@@ -241,7 +237,8 @@ def _quadratic_ellipsoid(domain: EllipsoidD, H: QuadraticSeminorm, cfg: SolverCo
 
 
 def _spectral(domain, H, cfg: SolverConfig) -> _Spectral:
-    key = (_domain_key(domain), _seminorm_key(H), _cfg_key(cfg))
+    # one flat tuple per entry: the cache holds thousands of these keys
+    key = (*_domain_key(domain), *_seminorm_key(H), cfg)
     hit = _SPECTRAL_CACHE.get(key)
     if hit is not None:
         _SPECTRAL_CACHE.move_to_end(key)

@@ -141,7 +141,7 @@ def _assert_simple(V: np.ndarray, eps: float) -> None:
 class Polygon2D:
     """Simple planar polygon, counter-clockwise, positive signed area."""
 
-    __slots__ = ("vertices", "is_convex")
+    __slots__ = ("vertices", "is_convex", "fingerprint")
 
     def __init__(self, vertices, tol: float = GEOM_TOL, check_simple: bool = True):
         V = np.array(vertices, dtype=float)
@@ -167,6 +167,8 @@ class Polygon2D:
         V.flags.writeable = False
         self.vertices = V
         self.is_convex = bool(np.all(turns >= -tol * scale * scale))
+        # one bytes object per polygon, shared by every cache key built from it
+        self.fingerprint = V.tobytes()
 
     @property
     def n_vertices(self) -> int:
@@ -175,10 +177,6 @@ class Polygon2D:
     @property
     def area(self) -> float:
         return _shoelace(self.vertices)
-
-    @property
-    def fingerprint(self) -> bytes:
-        return self.vertices.tobytes()
 
     def centroid(self) -> np.ndarray:
         V = self.vertices

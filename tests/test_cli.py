@@ -3,12 +3,15 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import anisospec
 from anisospec.cli import _parse_q_grid, canonical_json, main
 from anisospec.errors import InputError
 
@@ -286,6 +289,22 @@ class TestSpecFile:
         code, _, err = run_cli(["eval", "--spec", str(path)])
         assert code == 2
         assert "tolerance" in err
+
+
+def test_python_m_reproduce():
+    # runs from a source checkout: the package's parent directory goes on the path
+    src = str(Path(anisospec.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "anisospec", "reproduce"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.count("PASS") == 20
 
 
 def test_console_script_installed():

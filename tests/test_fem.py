@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from anisospec import Polygon2D, QuadraticSeminorm, regular_polygon
 from anisospec.errors import DegenerateSeminormError, MeshError, SolverError
@@ -12,7 +14,9 @@ from anisospec.fem import (
     torsion_euclid_fem,
 )
 from anisospec.fem.meshing import _dist_to_outline
-from anisospec.fem.solver import _lambda_on_mesh, _torsion_on_mesh, p1_assemble
+from anisospec.functional import _family_seminorm
+from anisospec.fem import solver
+from anisospec.fem.solver import _Assembly, _lambda_on_mesh, _torsion_on_mesh, p1_assemble, transform_matrix
 from conftest import random_star_polygon
 
 J01_SQUARED = 5.783185962946785
@@ -223,18 +227,31 @@ class TestEuclidSolver:
         with pytest.raises(SolverError, match="interior"):
             torsion_euclid_fem(unit_square, SolverConfig(target_h=2.0))
 
-    def test_cg_iteration_cap(self, unit_square):
-        cfg = SolverConfig(target_h=0.1, linear_tol=1e-13, max_iters=2)
+    def test_eigensolver_iteration_cap(self, unit_square):
+        cfg = SolverConfig(target_h=0.1, max_iters=2)
         with pytest.raises(SolverError, match="did not converge"):
-            torsion_euclid_fem(unit_square, cfg)
+            lambda_euclid_fem(unit_square, cfg)
+
+    @pytest.mark.parametrize("width, h, n_free", [(1.0, 0.8, 1), (1.5, 0.75, 2), (2.0, 0.9, 3)])
+    def test_few_interior_nodes(self, width, h, n_free):
+        # Lanczos needs two unknowns; one interior node is its own eigenpair
+        rect = Polygon2D([(0.0, 0.0), (width, 0.0), (width, 1.0), (0.0, 1.0)])
+        mesh = mesh_polygon(rect, h)
+        free = mesh.interior_nodes()
+        assert len(free) == n_free
+        K, M, f = p1_assemble(mesh)
+        Kff, Mff = K[free][:, free].toarray(), M[free][:, free].toarray()
+        cfg = SolverConfig(target_h=h)
+        lam = lambda_euclid_fem(rect, cfg).lambda_
+        tor = torsion_euclid_fem(rect, cfg).torsion
+        assert lam == pytest.approx(scipy.linalg.eigh(Kff, Mff, eigvals_only=True)[0], rel=1e-10)
+        assert tor == pytest.approx(f[free] @ np.linalg.solve(Kff, f[free]), rel=1e-12)
 
 
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(target_h=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(linear_tol=-1e-10)
         with pytest.raises(ValueError):
             SolverConfig(eig_tol=0.0)
         with pytest.raises(ValueError):
@@ -296,3 +313,53 @@ class TestSolveQuadratic:
         scaled = solve_quadratic(hexagon, QuadraticSeminorm(None, [3.0, 2.1]), cfg)
         assert scaled.lambda_ == pytest.approx(9.0 * base.lambda_, rel=1e-9)
         assert scaled.torsion == pytest.approx(base.torsion / 9.0, rel=1e-9)
+
+
+class TestAnisotropicSolve:
+    def test_matches_dense_solvers(self, hexagon):
+        # a stretched, rotated seminorm: lambda1/lambda2 is close to 1 here,
+        # where a stopping rule on iterate changes used to stop early
+        H = _family_seminorm(1.1, 0.05)
+        cfg = SolverConfig(target_h=0.3)
+        a = _Assembly.of(mesh_polygon(hexagon, 0.3))
+        K, M = a.stiffness(H.gram()).toarray(), a.M.toarray()
+        r = solve_quadratic(hexagon, H, cfg)
+        assert r.lambda_ == pytest.approx(scipy.linalg.eigh(K, M, eigvals_only=True)[0], rel=1e-10)
+        assert r.torsion == pytest.approx(a.f @ np.linalg.solve(K, a.f), rel=1e-10)
+
+    def test_affine_identity(self, hexagon):
+        # P1 on the mapped mesh B Omega is the anisotropic form on Omega:
+        # K(B Omega) = K_Q |det B| = K_Q / prod(alpha) on the same nodes
+        H = _family_seminorm(1.1, 0.05)
+        mesh = mesh_polygon(hexagon, 0.3)
+        free = mesh.interior_nodes()
+        K_mapped = p1_assemble(mesh.transformed(transform_matrix(H)))[0][free][:, free].toarray()
+        K_Q = _Assembly.of(mesh).stiffness(H.gram()).toarray() / np.prod(H.alphas)
+        assert np.abs(K_mapped - K_Q).max() <= 1e-12 * np.abs(K_Q).max()
+
+    def test_factorization_failure_is_solver_error(self, unit_square, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver, "splu", singular)
+        with pytest.raises(SolverError, match="factorization"):
+            torsion_euclid_fem(unit_square, SolverConfig(target_h=0.3))
+
+    def test_arpack_failure_is_solver_error(self, unit_square, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(solver, "eigsh", stalled)
+        with pytest.raises(SolverError, match="Lanczos"):
+            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
+
+    def test_residual_miss_is_solver_error(self, unit_square, monkeypatch):
+        eigsh = solver.eigsh
+
+        def off(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            return vals * (1.0 + 1e-6), vecs
+
+        monkeypatch.setattr(solver, "eigsh", off)
+        with pytest.raises(SolverError, match="residual"):
+            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
