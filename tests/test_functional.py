@@ -347,3 +347,54 @@ class TestUnsupported:
     def test_optimizer_needs_planar_domain(self):
         with pytest.raises(UnsupportedError):
             optimize_rank1(EllipsoidD([2.0, 1.0, 1.0]), 1.0)
+
+
+# The routing table: which route computes (lambda_H, T_H) for each
+# (domain, seminorm) pair. "c" closed form, "s" slicing, "f" FEM; an exception
+# class where the pair is rejected; None where the seminorm needs d = 3.
+_ROUTE_DOMAINS = {
+    "unit square": SQUARE,
+    "box 2d": BoxD([(0.0, 1.0), (0.0, 2.0)]),
+    "box 3d": BoxD([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]),
+    "ellipse": EllipsoidD([2.0, 1.0]),
+    "ellipsoid 3d": EllipsoidD([3.0, 2.0, 1.0]),
+}
+_ROUTE_SEMINORMS = {
+    "rank1 e2": lambda d: Rank1Seminorm(np.eye(d)[1]),
+    "rank1 diagonal": lambda d: Rank1Seminorm(np.ones(d) / math.sqrt(d)),
+    "quad full": lambda d: QuadraticSeminorm(None, 1.0 / np.arange(1, d + 1)),
+    "quad (1,0,...)": lambda d: QuadraticSeminorm(None, np.eye(d)[0]),
+    "quad (1,1,0)": lambda d: QuadraticSeminorm(None, [1.0, 1.0, 0.0]) if d == 3 else None,
+    "quad zero": lambda d: QuadraticSeminorm(None, np.zeros(d)),
+}
+_ROUTE_TABLE = {
+    "unit square": ("s/s", "s/s", "f/f", "s/s", None, DegenerateSeminormError),
+    "box 2d": ("c/c", "s/s", "f/f", "s/s", None, DegenerateSeminormError),
+    "box 3d": ("c/c", UnsupportedError, UnsupportedError, "c/c", UnsupportedError, DegenerateSeminormError),
+    "ellipse": ("c/c", "c/c", "f/c", "c/c", None, DegenerateSeminormError),
+    "ellipsoid 3d": ("c/c", "c/c", UnsupportedError, "c/c", UnsupportedError, DegenerateSeminormError),
+}
+_ROUTE_CODES = {"c": "closed_form", "s": "slicing", "f": "fem"}
+
+
+@pytest.mark.parametrize(
+    "domain_name, seminorm_name, expected",
+    [
+        (dn, sn, cell)
+        for dn, row in _ROUTE_TABLE.items()
+        for sn, cell in zip(_ROUTE_SEMINORMS, row)
+        if cell is not None
+    ],
+)
+def test_routing_table(domain_name, seminorm_name, expected):
+    domain = _ROUTE_DOMAINS[domain_name]
+    d = 2 if isinstance(domain, Polygon2D) else domain.dimension
+    H = _ROUTE_SEMINORMS[seminorm_name](d)
+    cfg = SolverConfig(target_h=0.2)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            eval_F(domain, H, 1.0, cfg)
+        return
+    fv = eval_F(domain, H, 1.0, cfg)
+    lam, tor = (_ROUTE_CODES[c] for c in expected.split("/"))
+    assert (fv.lambda_provenance, fv.torsion_provenance) == (lam, tor)
