@@ -8,7 +8,6 @@ function used is the first zero of the Bessel function J0 (disc eigenvalue).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jn_zeros
@@ -17,8 +16,6 @@ from .errors import DegenerateSeminormError, InvalidDomainError, InvalidSeminorm
 from .geometry import BoxD, Direction, unit_ball_volume
 
 __all__ = [
-    "ClosedFormResult",
-    "closed_form",
     "kj_sequence_value",
     "lambda_euclid_ball",
     "lambda_quadratic_ball_bound",
@@ -202,37 +199,3 @@ def kj_sequence_value(d: int, k: int, q: float, n: int) -> float:
     lam_ball = lambda_euclid_ball(int(k))
     return float(n) ** (2.0 * q - 2.0) * lam_ball * (k * (k + 2.0)) ** (-q)
 
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """A closed-form value tagged with the identifier of the formula used."""
-
-    value: float
-    formula_id: str
-
-
-_FORMULAS = {
-    "ball-eigenvalue-euclidean": lambda_euclid_ball,
-    "ellipsoid-torsion-euclidean": torsion_euclid_ellipsoid,
-    "ellipsoid-eigenvalue-rank1": lambda_rank1_ellipsoid,
-    "ellipsoid-torsion-rank1": torsion_rank1_ellipsoid,
-    "box-rank1": rank1_box,
-    "ball-torsion-quadratic": torsion_quadratic_ball,
-    "ball-eigenvalue-quadratic-bound": lambda_quadratic_ball_bound,
-    "ellipsoid-rank1-min-product": m_tilde_q_ellipsoid,
-    "ellipsoid-rank1-max-torsion": t_max_ellipsoid,
-    "ellipsoid-rank1-threshold": q_threshold_ellipsoid,
-    "thin-slab-product-sequence": kj_sequence_value,
-}
-
-
-def closed_form(formula_id: str, *args, **kwargs) -> ClosedFormResult:
-    """Evaluate a registered formula by id, tagging the result."""
-    try:
-        fn = _FORMULAS[formula_id]
-    except KeyError:
-        raise UnsupportedError(f"unknown formula id {formula_id!r}") from None
-    out = fn(*args, **kwargs)
-    if isinstance(out, tuple):
-        out = out[0]
-    return ClosedFormResult(value=float(out), formula_id=formula_id)

@@ -4,7 +4,6 @@ quantities on planar polygons."""
 from .meshing import TriMesh, mesh_polygon
 from .solver import (
     SolverConfig,
-    SpectralResult,
     lambda_euclid_fem,
     solve_quadratic,
     torsion_euclid_fem,
@@ -12,7 +11,6 @@ from .solver import (
 
 __all__ = [
     "SolverConfig",
-    "SpectralResult",
     "TriMesh",
     "lambda_euclid_fem",
     "mesh_polygon",

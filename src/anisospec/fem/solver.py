@@ -16,8 +16,8 @@ B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
 
-Degenerate quadratics (one alpha = 0) route to the exact slicing solver; the
-zero seminorm is rejected as a distinguished error.
+Only nondegenerate quadratics have a FEM problem here: a vanishing alpha is
+rejected, and the zero seminorm raises its distinguished error.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py w
 
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
 from ..geometry import Polygon2D, _cross2
-from ..seminorms import QuadraticSeminorm, Rank1Seminorm
-from ..slicing import solve_rank1
+from ..seminorms import QuadraticSeminorm, Spectral
 from .meshing import TriMesh, mesh_polygon
 
 __all__ = [
     "SolverConfig",
-    "SpectralResult",
     "lambda_euclid_fem",
     "solve_quadratic",
     "torsion_euclid_fem",
@@ -67,22 +65,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Eigenvalue and/or torsion with the mesh size and error bookkeeping.
-
-    provenance is one of "fem", "fem_richardson", "slicing", "closed_form".
-    error_estimate is 0 when the route is exact (slicing, closed forms) and
-    the coarse/fine difference when a nested pair was solved.
-    """
-
-    lambda_: float | None
-    torsion: float | None
-    h_used: float
-    error_estimate: float
-    provenance: str
 
 
 def _local_matrices(mesh: TriMesh):
@@ -269,16 +251,16 @@ def _torsion_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
     return _solve(_assemblies(mesh, False)[0], _EUCLID, cfg, eigen=False)[1]
 
 
-def torsion_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> SpectralResult:
+def torsion_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean torsional rigidity of a polygon by P1 FEM."""
     _, tor, h_used, _, err, prov = _fem(mesh_polygon(polygon, cfg.target_h), _EUCLID, cfg, eigen=False)
-    return SpectralResult(lambda_=None, torsion=tor, h_used=h_used, error_estimate=err, provenance=prov)
+    return Spectral(None, tor, prov, prov, error_estimate=err, h_used=h_used)
 
 
-def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> SpectralResult:
+def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean first Dirichlet eigenvalue of a polygon by P1 FEM."""
     lam, _, h_used, err, _, prov = _fem(mesh_polygon(polygon, cfg.target_h), _EUCLID, cfg)
-    return SpectralResult(lambda_=lam, torsion=None, h_used=h_used, error_estimate=err, provenance=prov)
+    return Spectral(lam, None, prov, prov, error_estimate=err, h_used=h_used)
 
 
 def transform_matrix(H: QuadraticSeminorm) -> np.ndarray:
@@ -291,13 +273,12 @@ def transform_matrix(H: QuadraticSeminorm) -> np.ndarray:
 
 def solve_quadratic(
     polygon: Polygon2D, H: QuadraticSeminorm, cfg: SolverConfig = SolverConfig()
-) -> SpectralResult:
-    """lambda_H and T_H on a polygon for a quadratic seminorm.
-
-    Nondegenerate H: one LU factorization of the anisotropic stiffness K_Q
-    (Q the Gram matrix of H) on the polygon's mesh gives both. One vanishing
-    alpha: exact slicing on the rank-1 reduction. Zero seminorm: rejected
-    (lambda 0, torsion infinite).
+) -> Spectral:
+    """lambda_H and T_H on a polygon for a nondegenerate quadratic seminorm:
+    one LU factorization of the anisotropic stiffness K_Q (Q the Gram matrix
+    of H) on the polygon's mesh gives both. A vanishing alpha is rejected;
+    the zero seminorm raises DegenerateSeminormError (lambda 0, torsion
+    infinite).
     """
     if not isinstance(H, QuadraticSeminorm):
         raise InvalidSeminormError("solve_quadratic expects a QuadraticSeminorm")
@@ -307,13 +288,6 @@ def solve_quadratic(
     if codim == 0:
         raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
     if codim == 1:
-        eta = H.alphas[0] * H.rotation[:, 0]
-        r = solve_rank1(polygon, Rank1Seminorm(eta))
-        return SpectralResult(
-            lambda_=r.lambda_, torsion=r.torsion, h_used=0.0, error_estimate=0.0, provenance="slicing"
-        )
-
+        raise InvalidSeminormError("solve_quadratic needs a nondegenerate seminorm (eval_F slices a rank-1 one)")
     lam, tor, h_used, err_lam, err_tor, prov = _fem(mesh_polygon(polygon, cfg.target_h), H.gram(), cfg)
-    return SpectralResult(
-        lambda_=lam, torsion=tor, h_used=h_used, error_estimate=max(err_lam, err_tor), provenance=prov
-    )
+    return Spectral(lam, tor, prov, prov, error_estimate=max(err_lam, err_tor), h_used=h_used)

@@ -11,6 +11,10 @@ form, then slicing, then FEM) and searches two normalized families:
 
 where u = (cos t, sin t). Fixing the larger coefficient to 1 keeps the
 operator norm at 1, and a = 0 is exactly the rank-1 boundary of the family.
+
+`_spectral` is the one place that picks the route. Degenerate quadratics (one
+alpha = 0) are exactly rank-1 and go to the exact slicing solver or to a
+closed form; the zero seminorm is rejected as a distinguished error.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .geometry import (
     linear_image,
     measure,
 )
-from .seminorms import QuadraticSeminorm, Rank1Seminorm, Seminorm
+from .seminorms import QuadraticSeminorm, Rank1Seminorm, Seminorm, Spectral
 from .slicing import solve_rank1
 
 __all__ = [
@@ -137,15 +141,6 @@ class BoundsReport:
     torsion_provenance: str = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class _Spectral:
-    lambda_: float
-    torsion: float
-    lambda_provenance: str
-    torsion_provenance: str
-    error_estimate: float
-
-
 _SPECTRAL_CACHE: OrderedDict = OrderedDict()
 _SPECTRAL_CACHE_SIZE = 8192
 _ELLIPSE_LAMBDA_CACHE: OrderedDict = OrderedDict()
@@ -170,7 +165,7 @@ def _seminorm_key(H):
     raise InvalidSeminormError(f"unsupported seminorm type {type(H).__name__}")
 
 
-def _ellipse_lambda(ratio: float, cfg: SolverConfig):
+def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
     """Euclidean eigenvalue of the ellipse with semi-axes (ratio, 1) via FEM
     on an inscribed polygon; cached because optimizer sweeps revisit ratios."""
     # 1e-9 key granularity: ratios reached through different scalings of the
@@ -182,61 +177,53 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig):
         return hit
     # scale h with sqrt(ratio) so the element count stays roughly constant
     local = replace(cfg, target_h=cfg.target_h * math.sqrt(ratio))
-    res = lambda_euclid_fem(ellipse_polygon(ratio, 1.0, _ELLIPSE_VERTICES), local)
-    out = (res.lambda_, res.error_estimate, res.provenance)
+    out = lambda_euclid_fem(ellipse_polygon(ratio, 1.0, _ELLIPSE_VERTICES), local)
     _ELLIPSE_LAMBDA_CACHE[key] = out
     while len(_ELLIPSE_LAMBDA_CACHE) > _SPECTRAL_CACHE_SIZE:
         _ELLIPSE_LAMBDA_CACHE.popitem(last=False)
     return out
 
 
-def _rank1_ellipsoid(domain: EllipsoidD, eta: np.ndarray) -> _Spectral:
-    scale = float(np.linalg.norm(eta))
-    if scale <= 0.0:
-        raise InvalidSeminormError("rank-1 seminorm needs a nonzero direction")
-    v = domain.rotation.T @ (np.asarray(eta, dtype=float) / scale)
+def _rank1_ellipsoid(domain: EllipsoidD, H: Rank1Seminorm) -> Spectral:
+    scale = H.operator_norm
+    v = domain.rotation.T @ H.direction
     lam = lambda_rank1_ellipsoid(domain.semi_axes, v) * scale**2
     tor = torsion_rank1_ellipsoid(domain.semi_axes, v) / scale**2
-    return _Spectral(lam, tor, "closed_form", "closed_form", 0.0)
+    return Spectral(lam, tor, "closed_form", "closed_form")
 
 
-def _rank1_box(domain: BoxD, eta: np.ndarray) -> _Spectral:
-    scale = float(np.linalg.norm(eta))
-    if scale <= 0.0:
-        raise InvalidSeminormError("rank-1 seminorm needs a nonzero direction")
-    unit = np.asarray(eta, dtype=float) / scale
+def _rank1_box(domain: BoxD, H: Rank1Seminorm) -> Spectral:
+    scale = H.operator_norm
+    unit = H.direction
     axis = int(np.argmax(np.abs(unit)))
     if abs(abs(unit[axis]) - 1.0) <= 1e-12:
         lam, tor = rank1_box(domain, axis)
-        return _Spectral(lam * scale**2, tor / scale**2, "closed_form", "closed_form", 0.0)
+        return Spectral(lam * scale**2, tor / scale**2, "closed_form", "closed_form")
     if domain.dimension == 2:
-        return _spectral(domain.to_polygon(), Rank1Seminorm(eta), SolverConfig())
+        return solve_rank1(domain.to_polygon(), H)
     raise UnsupportedError("rank-1 box solves above dimension 2 need an axis-aligned direction")
 
 
-def _quadratic_ellipsoid(domain: EllipsoidD, H: QuadraticSeminorm, cfg: SolverConfig) -> _Spectral:
-    codim = H.kernel_codim
-    if codim == 0:
-        raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
-    if codim < H.dimension:
-        # vanishing coefficients leave an exact rank-1 problem
-        if codim > 1:
-            raise UnsupportedError("partially degenerate quadratic seminorms are out of scope")
-        return _rank1_ellipsoid(domain, H.alphas[0] * H.rotation[:, 0])
+def _quadratic_ellipsoid(domain: EllipsoidD, H: QuadraticSeminorm, cfg: SolverConfig) -> Spectral:
+    if domain.dimension != 2:
+        raise UnsupportedError("no eigenvalue solver for quadratic seminorms on ellipsoids above dimension 2")
     B = transform_matrix(H)
     image = linear_image(domain, B)
     axes = image.semi_axes
     det_scale = float(np.prod(H.alphas))
     tor = torsion_euclid_ellipsoid(axes) * det_scale
-    if domain.dimension != 2:
-        raise UnsupportedError("no eigenvalue solver for quadratic seminorms on ellipsoids above dimension 2")
     ratio = float(axes[0] / axes[1])
-    lam_unit, err, prov = _ellipse_lambda(ratio, cfg)
-    lam = lam_unit / float(axes[1]) ** 2
-    return _Spectral(lam, tor, prov, "closed_form", err / float(axes[1]) ** 2)
+    unit = _ellipse_lambda(ratio, cfg)
+    s = float(axes[1])  # the image is the (ratio, 1) ellipse scaled by s
+    lam, err = unit.lambda_ / s**2, unit.error_estimate / s**2
+    return Spectral(lam, tor, unit.lambda_provenance, "closed_form", err, h_used=unit.h_used * s)
 
 
-def _spectral(domain, H, cfg: SolverConfig) -> _Spectral:
+def _spectral(domain, H, cfg: SolverConfig) -> Spectral:
+    """lambda_H and T_H through exactly one route. After the cache lookup:
+    check dimensions, turn a 2-D box under a quadratic H into its polygon,
+    reduce a degenerate quadratic H to its rank-1 part, then dispatch on
+    (domain type, seminorm type)."""
     # one flat tuple per entry: the cache holds thousands of these keys
     key = (*_domain_key(domain), *_seminorm_key(H), cfg)
     hit = _SPECTRAL_CACHE.get(key)
@@ -244,33 +231,29 @@ def _spectral(domain, H, cfg: SolverConfig) -> _Spectral:
         _SPECTRAL_CACHE.move_to_end(key)
         return hit
 
+    d = 2 if isinstance(domain, Polygon2D) else domain.dimension
+    if H.dimension != d:
+        raise InvalidSeminormError(f"the seminorm is {H.dimension}-dimensional, the domain {d}-dimensional")
+    if isinstance(H, QuadraticSeminorm):
+        if isinstance(domain, BoxD) and d == 2:
+            domain = domain.to_polygon()
+        codim = H.kernel_codim
+        if codim == 0:
+            raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
+        if codim < d:
+            if codim > 1:
+                raise UnsupportedError("partially degenerate quadratic seminorms are out of scope")
+            H = Rank1Seminorm(H.alphas[0] * H.rotation[:, 0])
+
+    rank1 = isinstance(H, Rank1Seminorm)
     if isinstance(domain, Polygon2D):
-        if isinstance(H, Rank1Seminorm):
-            r = solve_rank1(domain, H)
-            out = _Spectral(r.lambda_, r.torsion, "slicing", "slicing", 0.0)
-        else:
-            r = solve_quadratic(domain, H, cfg)
-            out = _Spectral(r.lambda_, r.torsion, r.provenance, r.provenance, r.error_estimate)
+        out = solve_rank1(domain, H) if rank1 else solve_quadratic(domain, H, cfg)
     elif isinstance(domain, EllipsoidD):
-        if isinstance(H, Rank1Seminorm):
-            out = _rank1_ellipsoid(domain, H.eta)
-        else:
-            out = _quadratic_ellipsoid(domain, H, cfg)
-    elif isinstance(domain, BoxD):
-        if isinstance(H, Rank1Seminorm):
-            out = _rank1_box(domain, H.eta)
-        elif domain.dimension == 2:
-            out = _spectral(domain.to_polygon(), H, cfg)
-        else:
-            codim = H.kernel_codim
-            if codim == 0:
-                raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
-            if codim == 1:
-                out = _rank1_box(domain, H.alphas[0] * H.rotation[:, 0])
-            else:
-                raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
+        out = _rank1_ellipsoid(domain, H) if rank1 else _quadratic_ellipsoid(domain, H, cfg)
+    elif rank1:
+        out = _rank1_box(domain, H)
     else:
-        raise InvalidDomainError(f"unsupported domain type {type(domain).__name__}")
+        raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
 
     _SPECTRAL_CACHE[key] = out
     while len(_SPECTRAL_CACHE) > _SPECTRAL_CACHE_SIZE:
@@ -499,13 +482,13 @@ def q_sweep(domain, q_list, mode: str = "min", seminorm_class: str = "quadratic"
 
 
 def _is_convex(domain) -> bool:
-    if isinstance(domain, EllipsoidD):
+    if isinstance(domain, (EllipsoidD, BoxD)):
         return True
     return domain.is_convex
 
 
 def _is_symmetric(domain) -> bool:
-    if isinstance(domain, EllipsoidD):
+    if isinstance(domain, (EllipsoidD, BoxD)):
         return True
     return is_centrally_symmetric(domain)
 
@@ -521,10 +504,8 @@ def verify_bounds(domain, H: Seminorm, cfg: SolverConfig = SolverConfig()) -> Bo
     """
     if isinstance(domain, BoxD):
         domain = domain.to_polygon() if domain.dimension == 2 else domain
-    k = H.kernel_codim
-    if k == 0:
-        raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
     sp = _spectral(domain, H, cfg)
+    k = H.kernel_codim
     product = sp.lambda_ * sp.torsion
     vol = measure(domain)
     d = H.dimension

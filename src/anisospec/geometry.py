@@ -384,14 +384,6 @@ class SlabDecomposition:
     def n_components(self) -> int:
         return len(self.len_lo)
 
-    @property
-    def slope(self) -> np.ndarray:
-        return (self.len_hi - self.len_lo) / (self.slab_hi - self.slab_lo)
-
-    @property
-    def intercept(self) -> np.ndarray:
-        return self.len_lo - self.slope * self.slab_lo
-
     def length_at(self, k: int, t: float) -> float:
         """Length of component k at offset t (interpolated, stable)."""
         s = (t - self.slab_lo[k]) / (self.slab_hi[k] - self.slab_lo[k])

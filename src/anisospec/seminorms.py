@@ -2,7 +2,8 @@
 
 A rank-1 seminorm is H(x) = |<x, eta>|; a quadratic seminorm is
 H(x) = |diag(alphas) R^T x| for an orthogonal R and nonnegative alphas.
-Both are immutable; every operation returns a new object.
+Both are immutable; every operation returns a new object. `Spectral` is the
+record every route returns for one (domain, seminorm) pair.
 """
 
 from __future__ import annotations
@@ -149,10 +150,6 @@ class QuadraticSeminorm:
     def kernel_codim(self) -> int:
         return int(np.count_nonzero(self.alphas > 0.0))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kernel_codim == 0
-
     def gram(self) -> np.ndarray:
         R = self.rotation
         return R @ np.diag(self.alphas**2) @ R.T
@@ -190,36 +187,25 @@ class QuadraticSeminorm:
 Seminorm = Rank1Seminorm | QuadraticSeminorm
 
 
-@dataclass(frozen=True)
-class SeminormMeta:
-    """Operator norm together with the codimension of the kernel."""
+@dataclass(frozen=True, slots=True)
+class Spectral:
+    """lambda_H and T_H of one (domain, seminorm) pair, as every route returns them.
 
-    operator_norm: float
-    kernel_codim: int
+    A provenance is "closed_form", "slicing", "fem" or "fem_richardson"; the
+    Euclidean FEM solvers leave the factor they do not compute as None.
+    error_estimate is 0 on exact routes and the coarse/fine difference of a
+    Richardson pair. h_used is the finest FEM mesh size and breakpoints_used
+    the number of slab breakpoints of a slicing solve; each is 0 on the
+    routes that have none.
+    """
 
-
-def seminorm_meta(H) -> SeminormMeta:
-    return SeminormMeta(operator_norm=H.operator_norm, kernel_codim=H.kernel_codim)
-
-
-def evaluate(H, xi):
-    return H.evaluate(xi)
-
-
-def operator_norm(H) -> float:
-    return H.operator_norm
-
-
-def kernel_codim(H) -> int:
-    return H.kernel_codim
-
-
-def compose(H, A):
-    return H.compose(A)
-
-
-def normalize(H):
-    return H.normalized()
+    lambda_: float | None
+    torsion: float | None
+    lambda_provenance: str
+    torsion_provenance: str
+    error_estimate: float = 0.0
+    h_used: float = 0.0
+    breakpoints_used: int = 0
 
 
 def seminorm_from_json(obj):

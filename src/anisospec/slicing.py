@@ -14,22 +14,13 @@ T_{tH} = t^-2 T_H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidDomainError, InvalidSeminormError
 from .geometry import Polygon2D, slab_decomposition
-from .seminorms import Rank1Seminorm
+from .seminorms import Rank1Seminorm, Spectral
 
-__all__ = ["SlicingResult", "lambda_rank1_polygon", "solve_rank1", "torsion_rank1_polygon"]
-
-
-@dataclass(frozen=True)
-class SlicingResult:
-    lambda_: float
-    torsion: float
-    breakpoints_used: int
+__all__ = ["solve_rank1"]
 
 
 def _direction_and_scale(H) -> tuple[np.ndarray, float]:
@@ -46,7 +37,7 @@ def _direction_and_scale(H) -> tuple[np.ndarray, float]:
     return v / n, n
 
 
-def solve_rank1(polygon: Polygon2D, H) -> SlicingResult:
+def solve_rank1(polygon: Polygon2D, H) -> Spectral:
     """Both spectral quantities for a rank-1 seminorm in one decomposition pass."""
     if not isinstance(polygon, Polygon2D):
         raise InvalidDomainError("slicing solver works on Polygon2D")
@@ -64,20 +55,11 @@ def solve_rank1(polygon: Polygon2D, H) -> SlicingResult:
         np.sum((dec.slab_hi - dec.slab_lo) * (l0**3 + l0**2 * l1 + l0 * l1**2 + l1**3))
         / 48.0
     )
-    return SlicingResult(
+    return Spectral(
         lambda_=t**2 * np.pi**2 / width**2,
         torsion=integral / t**2,
+        lambda_provenance="slicing",
+        torsion_provenance="slicing",
         breakpoints_used=len(dec.breakpoints),
     )
 
-
-def lambda_rank1_polygon(polygon: Polygon2D, H) -> float:
-    """pi^2 over the squared longest chord parallel to the seminorm direction,
-    scaled by the squared operator norm."""
-    return solve_rank1(polygon, H).lambda_
-
-
-def torsion_rank1_polygon(polygon: Polygon2D, H) -> float:
-    """Exact integral of per-chord interval torsions, scaled by the inverse
-    squared operator norm."""
-    return solve_rank1(polygon, H).torsion

@@ -110,6 +110,12 @@ class TestEval:
         assert code == 2
         assert "zero seminorm" in err
 
+    def test_wrong_dimension_exits_2(self):
+        box = '{"kind": "box", "intervals": [[0,1],[0,2],[0,3]]}'
+        code, out, err = run_cli(["eval", "--domain", box, "--seminorm", AXIS_SEMINORM, "--q", "1"])
+        assert (code, out) == (2, "")
+        assert "dimensional" in err
+
     def test_unmeshable_request_exits_3(self):
         # h = 2 on the unit square leaves no interior nodes for the FEM route
         code, _, err = run_cli(
@@ -214,6 +220,14 @@ class TestBounds:
         assert report["lambda_provenance"] == "slicing"
         assert canonical_json(json.loads(out)) == out
 
+    def test_three_dimensional_box(self):
+        box = '{"kind": "box", "intervals": [[0,1],[0,1],[0,1]]}'
+        code, out, _ = run_cli(["bounds", "--domain", box, "--seminorm", '{"kind": "rank1", "eta": [0, 0, 1]}'])
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 3
+        assert all(c["satisfied"] for c in checks)
+
 
 class TestReproduce:
     def test_all_rows_pass(self):
@@ -316,3 +330,35 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 20
+
+
+# stdout of commands whose every number comes from an exact route (closed
+# form or slicing), recorded byte for byte
+EXACT_ROUTES = json.loads((Path(__file__).parent / "data" / "cli_exact_routes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ROUTES))
+def test_exact_route_stdout_is_pinned(name):
+    case = EXACT_ROUTES[name]
+    assert run_cli(case["argv"])[:2] == (0, case["stdout"])
+
+
+def test_bench_tracer_installs():
+    # the benchmark's traced runs wrap solver names and read result fields;
+    # this fails when a change removes one of them
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(anisospec.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path, PYTHONDONTWRITEBYTECODE="1")
+    script = (
+        "import sys; sys.path.insert(0, 'perfbench'); import tracer; t = tracer.install(); import anisospec; "
+        "anisospec.solve_rank1(anisospec.regular_polygon(6), anisospec.Rank1Seminorm([0.0, 1.0])); "
+        "print(sorted({s[0] for s in t.spans}), t.counts['slicing.breakpoints_sum'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans, breakpoints = proc.stdout.rsplit(" ", 1)
+    assert "slicing.solve_rank1" in spans
+    assert float(breakpoints) > 0

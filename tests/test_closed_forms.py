@@ -11,8 +11,6 @@ from anisospec import (
     unit_ball_volume,
 )
 from anisospec.closed_forms import (
-    ClosedFormResult,
-    closed_form,
     kj_sequence_value,
     lambda_euclid_ball,
     lambda_quadratic_ball_bound,
@@ -306,15 +304,3 @@ class TestKJSequence:
 
         with pytest.raises(InvalidSeminormError):
             kj_sequence_value(2, 2, 0.5, 1)
-
-
-class TestRegistry:
-    def test_tagged_result(self):
-        r = closed_form("ellipsoid-torsion-euclidean", [1.0, 1.0])
-        assert isinstance(r, ClosedFormResult)
-        assert r.value == pytest.approx(np.pi / 8)
-        assert r.formula_id == "ellipsoid-torsion-euclidean"
-
-    def test_unknown_id(self):
-        with pytest.raises(UnsupportedError):
-            closed_form("nope")

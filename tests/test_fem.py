@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from anisospec import Polygon2D, QuadraticSeminorm, regular_polygon
-from anisospec.errors import DegenerateSeminormError, MeshError, SolverError
+from anisospec.errors import DegenerateSeminormError, InvalidSeminormError, MeshError, SolverError
 from anisospec.fem import (
     SolverConfig,
     TriMesh,
@@ -14,7 +14,7 @@ from anisospec.fem import (
     torsion_euclid_fem,
 )
 from anisospec.fem.meshing import _dist_to_outline
-from anisospec.functional import _family_seminorm
+from anisospec.functional import _family_seminorm, eval_F
 from anisospec.fem import solver
 from anisospec.fem.solver import _Assembly, _lambda_on_mesh, _torsion_on_mesh, p1_assemble, transform_matrix
 from conftest import random_star_polygon
@@ -176,7 +176,7 @@ class TestEuclidSolver:
         assert r.lambda_ == pytest.approx(LAMBDA_SQUARE, rel=0.05)
         # conforming elements approach the eigenvalue from above
         assert r.lambda_ >= LAMBDA_SQUARE * (1.0 - 1e-10)
-        assert r.provenance == "fem"
+        assert r.lambda_provenance == "fem"
         assert r.torsion is None and r.error_estimate == 0.0
 
     def test_square_torsion_coarse(self, unit_square):
@@ -192,7 +192,7 @@ class TestEuclidSolver:
         tor = torsion_euclid_fem(unit_square, cfg)
         assert lam.lambda_ == pytest.approx(LAMBDA_SQUARE, rel=1e-3)
         assert tor.torsion == pytest.approx(TORSION_SQUARE, rel=1e-3)
-        assert lam.provenance == "fem_richardson"
+        assert lam.lambda_provenance == "fem_richardson"
         assert lam.error_estimate > 0.0
         assert lam.h_used == pytest.approx(mesh_polygon(unit_square, 0.1).h / 2.0)
 
@@ -265,7 +265,7 @@ class TestSolveQuadratic:
         r = solve_quadratic(unit_square, QuadraticSeminorm(None, [1.0, 1.0]), cfg)
         assert r.lambda_ == lambda_euclid_fem(unit_square, cfg).lambda_
         assert r.torsion == torsion_euclid_fem(unit_square, cfg).torsion
-        assert r.provenance == "fem"
+        assert (r.lambda_provenance, r.torsion_provenance) == ("fem", "fem")
 
     def test_anisotropic_disc(self):
         # alphas (0.5, 1): B Omega is the ellipse with semi-axes (2, 1) and
@@ -296,8 +296,13 @@ class TestSolveQuadratic:
         assert r2.torsion == pytest.approx(r1.torsion, rel=1e-2)
 
     def test_degenerate_routes_to_slicing(self, unit_square):
-        r = solve_quadratic(unit_square, QuadraticSeminorm(None, [1.0, 0.0]))
-        assert r.provenance == "slicing"
+        # the FEM layer takes nondegenerate H only; eval_F routes the rank-1
+        # reduction of a degenerate one to exact slicing
+        H = QuadraticSeminorm(None, [1.0, 0.0])
+        with pytest.raises(InvalidSeminormError, match="nondegenerate"):
+            solve_quadratic(unit_square, H)
+        r = eval_F(unit_square, H, 1.0)
+        assert (r.lambda_provenance, r.torsion_provenance) == ("slicing", "slicing")
         assert r.lambda_ == pytest.approx(np.pi**2, rel=1e-12)
         assert r.torsion == pytest.approx(1.0 / 12.0, rel=1e-12)
         assert r.error_estimate == 0.0

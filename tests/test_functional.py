@@ -18,6 +18,7 @@ from anisospec.closed_forms import m_tilde_q_ellipsoid
 from anisospec.errors import (
     DegenerateSeminormError,
     InputError,
+    InvalidSeminormError,
     UnsupportedError,
 )
 from anisospec.fem import SolverConfig
@@ -347,6 +348,22 @@ class TestUnsupported:
     def test_optimizer_needs_planar_domain(self):
         with pytest.raises(UnsupportedError):
             optimize_rank1(EllipsoidD([2.0, 1.0, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [SQUARE, BoxD([(0.0, 1.0), (0.0, 2.0)]), BoxD([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]), DISC, EllipsoidD([3.0, 2.0, 1.0])],
+    ids=["polygon", "box2", "box3", "ellipse", "ellipsoid3"],
+)
+@pytest.mark.parametrize("kind", ["rank1", "quadratic"])
+def test_seminorm_of_wrong_dimension_rejected(domain, kind):
+    d = 2 if isinstance(domain, Polygon2D) else domain.dimension
+    other = 3 if d == 2 else 2
+    H = Rank1Seminorm(np.eye(other)[1]) if kind == "rank1" else QuadraticSeminorm(None, np.eye(other)[0])
+    with pytest.raises(InvalidSeminormError, match="dimensional"):
+        eval_F(domain, H, 1.0)
+    with pytest.raises(InvalidSeminormError, match="dimensional"):
+        verify_bounds(domain, H)
 
 
 # The routing table: which route computes (lambda_H, T_H) for each

@@ -8,16 +8,7 @@ from anisospec import (
     Rank1Seminorm,
     SingularMapError,
 )
-from anisospec.seminorms import (
-    compose,
-    evaluate,
-    kernel_codim,
-    normalize,
-    operator_norm,
-    seminorm_from_json,
-    seminorm_meta,
-    seminorm_to_json,
-)
+from anisospec.seminorms import seminorm_from_json, seminorm_to_json
 
 
 def random_rotation(rng, d):
@@ -28,15 +19,15 @@ def random_rotation(rng, d):
 class TestEvaluate:
     def test_rank1_projection(self):
         H = Rank1Seminorm([0.0, 1.0])
-        assert evaluate(H, [3.0, 4.0]) == pytest.approx(4.0)
+        assert H.evaluate([3.0, 4.0]) == pytest.approx(4.0)
 
     def test_quadratic_euclidean(self):
         H = QuadraticSeminorm(None, [1.0, 1.0])
-        assert evaluate(H, [3.0, 4.0]) == pytest.approx(5.0)
+        assert H.evaluate([3.0, 4.0]) == pytest.approx(5.0)
 
     def test_quadratic_degenerate_matches_rank1(self):
         H = QuadraticSeminorm(None, [0.0, 1.0])
-        assert evaluate(H, [3.0, 4.0]) == pytest.approx(4.0)
+        assert H.evaluate([3.0, 4.0]) == pytest.approx(4.0)
 
     def test_batched_evaluation(self, rng):
         H = QuadraticSeminorm(random_rotation(rng, 3), [0.5, 1.0, 2.0])
@@ -67,13 +58,13 @@ class TestEvaluate:
 
 class TestOperatorNorm:
     def test_rank1(self):
-        assert operator_norm(Rank1Seminorm([3.0, 4.0])) == pytest.approx(5.0)
+        assert Rank1Seminorm([3.0, 4.0]).operator_norm == pytest.approx(5.0)
 
     def test_quadratic(self):
-        assert operator_norm(QuadraticSeminorm(None, [0.5, 1.0])) == pytest.approx(1.0)
+        assert QuadraticSeminorm(None, [0.5, 1.0]).operator_norm == pytest.approx(1.0)
 
     def test_zero(self):
-        assert operator_norm(QuadraticSeminorm(None, [0.0, 0.0])) == 0.0
+        assert QuadraticSeminorm(None, [0.0, 0.0]).operator_norm == 0.0
 
     def test_is_supremum(self, rng):
         # sup over random unit vectors never exceeds the reported norm
@@ -90,39 +81,39 @@ class TestOperatorNorm:
 
 class TestKernelCodim:
     def test_rank1(self):
-        assert kernel_codim(Rank1Seminorm([1.0, 1.0])) == 1
+        assert Rank1Seminorm([1.0, 1.0]).kernel_codim == 1
 
     def test_norm(self):
-        assert kernel_codim(QuadraticSeminorm(None, [1.0, 1.0])) == 2
+        assert QuadraticSeminorm(None, [1.0, 1.0]).kernel_codim == 2
 
     def test_zero(self):
-        assert kernel_codim(QuadraticSeminorm(None, [0.0, 0.0])) == 0
+        assert QuadraticSeminorm(None, [0.0, 0.0]).kernel_codim == 0
 
     def test_partial(self):
-        assert kernel_codim(QuadraticSeminorm(None, [0.0, 2.0, 1.0])) == 2
+        assert QuadraticSeminorm(None, [0.0, 2.0, 1.0]).kernel_codim == 2
 
 
 class TestCompose:
     def test_rank1_rotation(self):
         H = Rank1Seminorm([0.0, 1.0])
         A = np.array([[0.0, -1.0], [1.0, 0.0]])
-        H2 = compose(H, A)
+        H2 = H.compose(A)
         assert np.abs(H2.eta) == pytest.approx([1.0, 0.0])
 
     def test_rank1_diag(self):
-        H2 = compose(Rank1Seminorm([1.0, 0.0]), np.diag([2.0, 1.0]))
+        H2 = Rank1Seminorm([1.0, 0.0]).compose(np.diag([2.0, 1.0]))
         assert H2.eta == pytest.approx([2.0, 0.0])
 
     def test_quadratic_orthogonal_invariance(self, rng):
         H = QuadraticSeminorm(None, [1.0, 1.0])
-        H2 = compose(H, random_rotation(rng, 2))
+        H2 = H.compose(random_rotation(rng, 2))
         assert H2.alphas == pytest.approx([1.0, 1.0])
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMapError):
-            compose(Rank1Seminorm([1.0, 0.0]), [[1.0, 0.0], [1.0, 0.0]])
+            Rank1Seminorm([1.0, 0.0]).compose([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(SingularMapError):
-            compose(QuadraticSeminorm(None, [1.0, 2.0]), [[1.0, 1.0], [1.0, 1.0]])
+            QuadraticSeminorm(None, [1.0, 2.0]).compose([[1.0, 1.0], [1.0, 1.0]])
 
     def test_pointwise_agreement(self, rng):
         for _ in range(100):
@@ -134,7 +125,7 @@ class TestCompose:
             A = rng.normal(size=(d, d))
             if abs(np.linalg.det(A)) < 1e-3:
                 continue
-            HA = compose(H, A)
+            HA = H.compose(A)
             for _ in range(5):
                 xi = rng.normal(size=d)
                 assert HA.evaluate(xi) == pytest.approx(H.evaluate(A @ xi), abs=1e-10, rel=1e-10)
@@ -147,8 +138,8 @@ class TestCompose:
             B = rng.normal(size=(d, d))
             if abs(np.linalg.det(A)) < 1e-3 or abs(np.linalg.det(B)) < 1e-3:
                 continue
-            lhs = compose(compose(H, A), B)
-            rhs = compose(H, A @ B)
+            lhs = H.compose(A).compose(B)
+            rhs = H.compose(A @ B)
             for _ in range(5):
                 xi = rng.normal(size=d)
                 assert lhs.evaluate(xi) == pytest.approx(rhs.evaluate(xi), abs=1e-10, rel=1e-8)
@@ -156,20 +147,20 @@ class TestCompose:
 
 class TestNormalize:
     def test_rank1(self):
-        H = normalize(Rank1Seminorm([3.0, 4.0]))
+        H = Rank1Seminorm([3.0, 4.0]).normalized()
         assert H.eta == pytest.approx([0.6, 0.8])
 
     def test_quadratic(self):
-        H = normalize(QuadraticSeminorm(None, [0.5, 2.0]))
+        H = QuadraticSeminorm(None, [0.5, 2.0]).normalized()
         assert sorted(H.alphas) == pytest.approx([0.25, 1.0])
 
     def test_identity_case(self):
-        H = normalize(QuadraticSeminorm(None, [1.0, 1.0]))
+        H = QuadraticSeminorm(None, [1.0, 1.0]).normalized()
         assert H.alphas == pytest.approx([1.0, 1.0])
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidSeminormError, match="cannot normalize zero"):
-            normalize(QuadraticSeminorm(None, [0.0, 0.0]))
+            QuadraticSeminorm(None, [0.0, 0.0]).normalized()
 
     def test_norm_after_normalize(self, rng):
         for _ in range(100):
@@ -182,7 +173,7 @@ class TestNormalize:
                     continue
                 a[int(rng.integers(d))] += 0.1
                 H = QuadraticSeminorm(random_rotation(rng, d), a)
-            assert operator_norm(normalize(H)) == pytest.approx(1.0, abs=1e-12)
+            assert H.normalized().operator_norm == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCanonicalForm:
@@ -232,9 +223,9 @@ class TestValidation:
 
 class TestMetaAndJson:
     def test_meta(self):
-        m = seminorm_meta(QuadraticSeminorm(None, [0.0, 0.7]))
-        assert m.operator_norm == pytest.approx(0.7)
-        assert m.kernel_codim == 1
+        H = QuadraticSeminorm(None, [0.0, 0.7])
+        assert H.operator_norm == pytest.approx(0.7)
+        assert H.kernel_codim == 1
 
     def test_rank1_round_trip(self):
         H = Rank1Seminorm([3.0, 4.0])

@@ -3,12 +3,8 @@ import pytest
 
 from anisospec import Polygon2D, Rank1Seminorm, linear_image, regular_polygon
 from anisospec.geometry import slab_decomposition
-from anisospec.slicing import (
-    SlicingResult,
-    lambda_rank1_polygon,
-    solve_rank1,
-    torsion_rank1_polygon,
-)
+from anisospec.seminorms import Spectral
+from anisospec.slicing import solve_rank1
 from conftest import random_convex_polygon, random_star_polygon
 
 
@@ -29,18 +25,18 @@ def gauss5_torsion(poly, omega):
 class TestTriangle:
     def test_leg_direction(self, right_triangle):
         H = Rank1Seminorm([0.0, 1.0])
-        assert lambda_rank1_polygon(right_triangle, H) == pytest.approx(np.pi**2, rel=1e-14)
-        assert torsion_rank1_polygon(right_triangle, H) == pytest.approx(1.0 / 48.0, rel=1e-12)
+        assert solve_rank1(right_triangle, H).lambda_ == pytest.approx(np.pi**2, rel=1e-14)
+        assert solve_rank1(right_triangle, H).torsion == pytest.approx(1.0 / 48.0, rel=1e-12)
 
     def test_other_leg(self, right_triangle):
         H = Rank1Seminorm([1.0, 0.0])
-        assert torsion_rank1_polygon(right_triangle, H) == pytest.approx(1.0 / 48.0, rel=1e-12)
+        assert solve_rank1(right_triangle, H).torsion == pytest.approx(1.0 / 48.0, rel=1e-12)
 
     def test_diagonal_direction(self, right_triangle):
         H = Rank1Seminorm(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert torsion_rank1_polygon(right_triangle, H) == pytest.approx(1.0 / 96.0, rel=1e-12)
+        assert solve_rank1(right_triangle, H).torsion == pytest.approx(1.0 / 96.0, rel=1e-12)
         # longest chord parallel to the hypotenuse has length 1/sqrt(2)
-        assert lambda_rank1_polygon(right_triangle, H) == pytest.approx(2 * np.pi**2, rel=1e-12)
+        assert solve_rank1(right_triangle, H).lambda_ == pytest.approx(2 * np.pi**2, rel=1e-12)
 
 
 class TestSquare:
@@ -52,20 +48,22 @@ class TestSquare:
         assert r.breakpoints_used == 2
 
     def test_result_type(self, unit_square):
-        assert isinstance(solve_rank1(unit_square, [0.0, 1.0]), SlicingResult)
+        r = solve_rank1(unit_square, [0.0, 1.0])
+        assert isinstance(r, Spectral)
+        assert (r.lambda_provenance, r.torsion_provenance, r.error_estimate) == ("slicing", "slicing", 0.0)
 
 
 class TestDiscPolygon:
     def test_eigenvalue_512gon(self):
         poly = regular_polygon(512)
         H = Rank1Seminorm([0.0, 1.0])
-        assert lambda_rank1_polygon(poly, H) == pytest.approx(np.pi**2 / 4.0, rel=1e-4)
+        assert solve_rank1(poly, H).lambda_ == pytest.approx(np.pi**2 / 4.0, rel=1e-4)
 
     def test_torsion_converges_to_quarter_pi(self):
         # rank-1 disc torsion: omega_2/4 = pi/4
         poly = regular_polygon(1024)
         H = Rank1Seminorm([1.0, 0.0])
-        assert torsion_rank1_polygon(poly, H) == pytest.approx(np.pi / 4.0, rel=1e-4)
+        assert solve_rank1(poly, H).torsion == pytest.approx(np.pi / 4.0, rel=1e-4)
 
 
 class TestLShape:
@@ -138,7 +136,7 @@ class TestGaussCrossCheck:
             poly = random_star_polygon(rng) if rng.uniform() < 0.5 else random_convex_polygon(rng)
             th = rng.uniform(0, 2 * np.pi)
             w = np.array([np.cos(th), np.sin(th)])
-            exact = torsion_rank1_polygon(poly, Rank1Seminorm(w))
+            exact = solve_rank1(poly, Rank1Seminorm(w)).torsion
             quad = gauss5_torsion(poly, w)
             assert exact == pytest.approx(quad, rel=1e-12, abs=1e-14)
 
