@@ -198,4 +198,3 @@ def kj_sequence_value(d: int, k: int, q: float, n: int) -> float:
         raise InvalidDomainError("n must be a positive integer")
     lam_ball = lambda_euclid_ball(int(k))
     return float(n) ** (2.0 * q - 2.0) * lam_ball * (k * (k + 2.0)) ** (-q)
-

@@ -62,4 +62,3 @@ def solve_rank1(polygon: Polygon2D, H) -> Spectral:
         torsion_provenance="slicing",
         breakpoints_used=len(dec.breakpoints),
     )
-

@@ -350,21 +350,6 @@ class TestUnsupported:
             optimize_rank1(EllipsoidD([2.0, 1.0, 1.0]), 1.0)
 
 
-@pytest.mark.parametrize(
-    "domain",
-    [SQUARE, BoxD([(0.0, 1.0), (0.0, 2.0)]), BoxD([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]), DISC, EllipsoidD([3.0, 2.0, 1.0])],
-    ids=["polygon", "box2", "box3", "ellipse", "ellipsoid3"],
-)
-@pytest.mark.parametrize("kind", ["rank1", "quadratic"])
-def test_seminorm_of_wrong_dimension_rejected(domain, kind):
-    d = 2 if isinstance(domain, Polygon2D) else domain.dimension
-    other = 3 if d == 2 else 2
-    H = Rank1Seminorm(np.eye(other)[1]) if kind == "rank1" else QuadraticSeminorm(None, np.eye(other)[0])
-    with pytest.raises(InvalidSeminormError, match="dimensional"):
-        eval_F(domain, H, 1.0)
-    with pytest.raises(InvalidSeminormError, match="dimensional"):
-        verify_bounds(domain, H)
-
 
 # The routing table: which route computes (lambda_H, T_H) for each
 # (domain, seminorm) pair. "c" closed form, "s" slicing, "f" FEM; an exception
@@ -415,3 +400,16 @@ def test_routing_table(domain_name, seminorm_name, expected):
     fv = eval_F(domain, H, 1.0, cfg)
     lam, tor = (_ROUTE_CODES[c] for c in expected.split("/"))
     assert (fv.lambda_provenance, fv.torsion_provenance) == (lam, tor)
+
+
+@pytest.mark.parametrize("domain_name", ["unit square", "box 2d", "box 3d", "ellipse", "ellipsoid 3d"])
+@pytest.mark.parametrize("kind", ["rank1", "quadratic"])
+def test_seminorm_of_wrong_dimension_rejected(domain_name, kind):
+    domain = _ROUTE_DOMAINS[domain_name]
+    d = 2 if isinstance(domain, Polygon2D) else domain.dimension
+    other = 3 if d == 2 else 2
+    H = Rank1Seminorm(np.eye(other)[1]) if kind == "rank1" else QuadraticSeminorm(None, np.eye(other)[0])
+    with pytest.raises(InvalidSeminormError, match="dimensional"):
+        eval_F(domain, H, 1.0)
+    with pytest.raises(InvalidSeminormError, match="dimensional"):
+        verify_bounds(domain, H)
