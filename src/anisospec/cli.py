@@ -343,33 +343,28 @@ _SPEC_KEYS = {
     "richardson": "richardson",
     "out": "out",
     "format": "format",
-    "d": "d",
-    "k": "k",
-    "n": "n",
 }
 
 
-def _apply_spec_file(args) -> None:
-    """Fill flags that were not given explicitly from a JSON run spec."""
-    if getattr(args, "spec", None) is None:
-        return
+def _spec_defaults(args) -> dict:
+    """The fields of the JSON run spec named by --spec, keyed by flag dest."""
     obj = _load_json_arg(args.spec, "spec")
     if not isinstance(obj, dict):
         raise InputError("run spec must be a JSON object")
     cmd = obj.pop("command", None)
     if cmd is not None and cmd != args.command:
         raise InputError(f"spec file is for command '{cmd}', not '{args.command}'")
+    defaults = {}
     for key, value in obj.items():
         attr = _SPEC_KEYS.get(key)
         if attr is None:
             raise InputError(f"unknown run spec field '{key}'")
         if not hasattr(args, attr):
             raise InputError(f"field '{key}' does not apply to '{args.command}'")
-        current = getattr(args, attr)
-        if current is None or current is False:
-            if attr in ("domain", "seminorm") and isinstance(value, dict):
-                value = json.dumps(value)
-            setattr(args, attr, value)
+        if attr in ("domain", "seminorm") and isinstance(value, dict):
+            value = json.dumps(value)
+        defaults[attr] = value
+    return defaults
 
 
 def _add_common(p, *, domain=False, seminorm=False, fmt="json") -> None:
@@ -384,7 +379,8 @@ def _add_common(p, *, domain=False, seminorm=False, fmt="json") -> None:
     p.add_argument("--spec", default=None, help="JSON file of run parameters; explicit flags win")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="anisospec",
         description="Anisotropic eigenvalue/torsion products on polygons, boxes and ellipsoids.",
@@ -421,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -442,9 +438,14 @@ def _require(args, *names) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_spec_file(args)
+        if getattr(args, "spec", None) is not None:
+            # the spec's fields become the subcommand's defaults, so a parse
+            # again fills every flag not given and explicit flags still win
+            commands[args.command].set_defaults(**_spec_defaults(args))
+            args = parser.parse_args(argv)
         if args.command in ("eval",):
             _require(args, "domain", "seminorm", "q")
         elif args.command == "optimize":

@@ -14,7 +14,6 @@ estimation by comparing h and h/2 on nested spaces).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,23 +388,13 @@ class _Refiner:
         return 0.5 * total
 
 
-_MESH_CACHE: OrderedDict[tuple, TriMesh] = OrderedDict()
-_MESH_CACHE_SIZE = 32
-
-
 def mesh_polygon(polygon: Polygon2D, target_h: float) -> TriMesh:
     """Conforming triangulation of the polygon with max edge <= target_h."""
     if not isinstance(polygon, Polygon2D):
         raise MeshError("mesh_polygon expects a Polygon2D")
     if not (target_h > 0.0) or not np.isfinite(target_h):
         raise MeshError("target_h must be positive")
-    key = (polygon.fingerprint, float(target_h))
-    hit = _MESH_CACHE.get(key)
-    if hit is not None:
-        _MESH_CACHE.move_to_end(key)
-        return hit
     V = polygon.vertices
-    mesh = None
     fast = _grid_delaunay(polygon, target_h)
     if fast is not None:
         nodes, triangles = _Refiner(fast[0], fast[1], target_h).run()
@@ -417,12 +406,7 @@ def mesh_polygon(polygon: Polygon2D, target_h: float) -> TriMesh:
         flagged = np.zeros(candidate.n_nodes, dtype=bool)
         flagged[candidate.boundary_nodes] = True
         if np.array_equal(on_outline, flagged):
-            mesh = candidate
-    if mesh is None:
-        coarse = _ear_clip(V, GEOM_TOL)
-        nodes, triangles = _Refiner(V, coarse, target_h).run()
-        mesh = TriMesh.from_arrays(nodes, triangles)
-    _MESH_CACHE[key] = mesh
-    while len(_MESH_CACHE) > _MESH_CACHE_SIZE:
-        _MESH_CACHE.popitem(last=False)
-    return mesh
+            return candidate
+    coarse = _ear_clip(V, GEOM_TOL)
+    nodes, triangles = _Refiner(V, coarse, target_h).run()
+    return TriMesh.from_arrays(nodes, triangles)

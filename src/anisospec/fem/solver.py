@@ -31,6 +31,7 @@ from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py w
 
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
 from ..geometry import Polygon2D, _cross2
+from ..memo import Memo
 from ..seminorms import QuadraticSeminorm, Spectral
 from .meshing import TriMesh, mesh_polygon
 
@@ -151,21 +152,15 @@ class _Assembly:
         return csc_matrix((data, self.indices, self.indptr), shape=self.M.shape)
 
 
-# the assemblies of the last mesh solved (coarse, then its refinement once a
-# Richardson pair asks for it): an optimizer visits one mesh at a time
-_LAST_ASSEMBLY: tuple[TriMesh | None, list[_Assembly]] = (None, [])
+def _levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
+    """Assemblies of the polygon's mesh and, for a Richardson pair, of its refinement."""
+    mesh = mesh_polygon(polygon, cfg.target_h)
+    return [_Assembly.of(mesh), _Assembly.of(mesh.refined())] if cfg.richardson else [_Assembly.of(mesh)]
 
 
-def _assemblies(mesh: TriMesh, richardson: bool) -> list[_Assembly]:
-    global _LAST_ASSEMBLY
-    cached, levels = _LAST_ASSEMBLY
-    if cached is not mesh:
-        _LAST_ASSEMBLY = (None, [])  # let the old matrices go before building new ones
-        levels = [_Assembly.of(mesh)]
-        _LAST_ASSEMBLY = (mesh, levels)
-    if richardson and len(levels) == 1:
-        levels.append(_Assembly.of(mesh.refined()))
-    return levels[: 2 if richardson else 1]
+# the last polygon's assemblies: an optimizer solves one polygon at a time,
+# under hundreds of seminorms
+_ASSEMBLIES = Memo(1)
 
 
 def _solve(a: _Assembly, Q, cfg: SolverConfig, eigen: bool = True):
@@ -222,11 +217,10 @@ def _solve(a: _Assembly, Q, cfg: SolverConfig, eigen: bool = True):
     return lam, torsion
 
 
-def _fem(mesh: TriMesh, Q, cfg: SolverConfig, eigen: bool = True):
+def _fem(levels: list[_Assembly], Q, cfg: SolverConfig, eigen: bool = True):
     """(lambda, torsion, h_used, lambda error, torsion error, provenance) on
-    the mesh, extrapolated from its uniform refinement under second-order
-    convergence when cfg.richardson is set."""
-    levels = _assemblies(mesh, cfg.richardson)
+    the first level, extrapolated from the second (its uniform refinement)
+    under second-order convergence when cfg.richardson is set."""
     lam, tor = _solve(levels[0], Q, cfg, eigen)
     if not cfg.richardson:
         return lam, tor, levels[0].h, 0.0, 0.0, "fem"
@@ -244,22 +238,22 @@ def _extrapolate(coarse, fine):
 
 
 def _lambda_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
-    return _solve(_assemblies(mesh, False)[0], _EUCLID, cfg)[0]
+    return _solve(_Assembly.of(mesh), _EUCLID, cfg)[0]
 
 
 def _torsion_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
-    return _solve(_assemblies(mesh, False)[0], _EUCLID, cfg, eigen=False)[1]
+    return _solve(_Assembly.of(mesh), _EUCLID, cfg, eigen=False)[1]
 
 
 def torsion_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean torsional rigidity of a polygon by P1 FEM."""
-    _, tor, h_used, _, err, prov = _fem(mesh_polygon(polygon, cfg.target_h), _EUCLID, cfg, eigen=False)
+    _, tor, h_used, _, err, prov = _fem(_levels(polygon, cfg), _EUCLID, cfg, eigen=False)
     return Spectral(None, tor, prov, prov, error_estimate=err, h_used=h_used)
 
 
 def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean first Dirichlet eigenvalue of a polygon by P1 FEM."""
-    lam, _, h_used, err, _, prov = _fem(mesh_polygon(polygon, cfg.target_h), _EUCLID, cfg)
+    lam, _, h_used, err, _, prov = _fem(_levels(polygon, cfg), _EUCLID, cfg)
     return Spectral(lam, None, prov, prov, error_estimate=err, h_used=h_used)
 
 
@@ -289,5 +283,6 @@ def solve_quadratic(
         raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
     if codim == 1:
         raise InvalidSeminormError("solve_quadratic needs a nondegenerate seminorm (eval_F slices a rank-1 one)")
-    lam, tor, h_used, err_lam, err_tor, prov = _fem(mesh_polygon(polygon, cfg.target_h), H.gram(), cfg)
+    levels = _ASSEMBLIES.get_or((polygon.fingerprint, cfg.target_h, cfg.richardson), lambda: _levels(polygon, cfg))
+    lam, tor, h_used, err_lam, err_tor, prov = _fem(levels, H.gram(), cfg)
     return Spectral(lam, tor, prov, prov, error_estimate=max(err_lam, err_tor), h_used=h_used)

@@ -12,15 +12,15 @@ form, then slicing, then FEM) and searches two normalized families:
 where u = (cos t, sin t). Fixing the larger coefficient to 1 keeps the
 operator norm at 1, and a = 0 is exactly the rank-1 boundary of the family.
 
-`_spectral` is the one place that picks the route. Degenerate quadratics (one
-alpha = 0) are exactly rank-1 and go to the exact slicing solver or to a
-closed form; the zero seminorm is rejected as a distinguished error.
+`_route` is the one place that picks the route, and `_spectral` memoizes it
+for the domain being evaluated. Degenerate quadratics (one alpha = 0) are
+exactly rank-1 and go to the exact slicing solver or to a closed form; the
+zero seminorm is rejected as a distinguished error.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +49,7 @@ from .geometry import (
     linear_image,
     measure,
 )
+from .memo import Memo
 from .seminorms import QuadraticSeminorm, Rank1Seminorm, Seminorm, Spectral
 from .slicing import solve_rank1
 
@@ -69,7 +70,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # below this coefficient the transformed domain is so stretched that FEM adds
 # nothing over the exact degenerate (slicing) route; the ellipsoid route is
 # floored earlier because its eigensolve cost grows with the aspect ratio
-# (the low eigenvalues cluster), while transformed-polygon meshes stay cheap
+# (the low eigenvalues cluster), while the polygon route solves every alpha
+# on the polygon's own mesh, where only the stiffness weights change
 _ALPHA_FLOOR = 5e-3
 _ALPHA_FLOOR_ELLIPSOID = 2.5e-2
 _BOUNDARY_ALPHA = 1e-3
@@ -141,9 +143,12 @@ class BoundsReport:
     torsion_provenance: str = "unknown"
 
 
-_SPECTRAL_CACHE: OrderedDict = OrderedDict()
-_SPECTRAL_CACHE_SIZE = 8192
-_ELLIPSE_LAMBDA_CACHE: OrderedDict = OrderedDict()
+# spectral values of the current domain only: optimizers and sweeps revisit
+# seminorms on the domain they are solving, never on one they have left
+_SPECTRAL = Memo(1)
+# unit-ellipse eigenvalues by aspect ratio, shared by every ellipsoid: discs
+# of different radii under one seminorm meet the same ratios
+_ELLIPSE_LAMBDA = Memo(8192)
 _ELLIPSE_VERTICES = 256
 
 
@@ -167,21 +172,15 @@ def _seminorm_key(H):
 
 def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
     """Euclidean eigenvalue of the ellipse with semi-axes (ratio, 1) via FEM
-    on an inscribed polygon; cached because optimizer sweeps revisit ratios."""
-    # 1e-9 key granularity: ratios reached through different scalings of the
-    # same seminorm differ by float roundoff and must land in one bucket
-    key = (round(float(ratio), 9), cfg)
-    hit = _ELLIPSE_LAMBDA_CACHE.get(key)
-    if hit is not None:
-        _ELLIPSE_LAMBDA_CACHE.move_to_end(key)
-        return hit
+    on an inscribed polygon; memoized because optimizer sweeps revisit ratios."""
     # scale h with sqrt(ratio) so the element count stays roughly constant
     local = replace(cfg, target_h=cfg.target_h * math.sqrt(ratio))
-    out = lambda_euclid_fem(ellipse_polygon(ratio, 1.0, _ELLIPSE_VERTICES), local)
-    _ELLIPSE_LAMBDA_CACHE[key] = out
-    while len(_ELLIPSE_LAMBDA_CACHE) > _SPECTRAL_CACHE_SIZE:
-        _ELLIPSE_LAMBDA_CACHE.popitem(last=False)
-    return out
+    # 1e-9 key granularity: ratios reached through different scalings of the
+    # same seminorm differ by float roundoff and must land in one bucket
+    return _ELLIPSE_LAMBDA.get_or(
+        (round(float(ratio), 9), cfg),
+        lambda: lambda_euclid_fem(ellipse_polygon(ratio, 1.0, _ELLIPSE_VERTICES), local),
+    )
 
 
 def _rank1_ellipsoid(domain: EllipsoidD, H: Rank1Seminorm) -> Spectral:
@@ -220,17 +219,17 @@ def _quadratic_ellipsoid(domain: EllipsoidD, H: QuadraticSeminorm, cfg: SolverCo
 
 
 def _spectral(domain, H, cfg: SolverConfig) -> Spectral:
-    """lambda_H and T_H through exactly one route. After the cache lookup:
-    check dimensions, turn a 2-D box under a quadratic H into its polygon,
-    reduce a degenerate quadratic H to its rank-1 part, then dispatch on
-    (domain type, seminorm type)."""
-    # one flat tuple per entry: the cache holds thousands of these keys
-    key = (*_domain_key(domain), *_seminorm_key(H), cfg)
-    hit = _SPECTRAL_CACHE.get(key)
-    if hit is not None:
-        _SPECTRAL_CACHE.move_to_end(key)
-        return hit
+    """lambda_H and T_H of the pair, memoized per domain (see _route)."""
+    # one flat tuple per entry: a domain's memo holds thousands of these keys
+    per_domain = _SPECTRAL.get_or(_domain_key(domain), lambda: Memo(8192))
+    return per_domain.get_or((*_seminorm_key(H), cfg), lambda: _route(domain, H, cfg))
 
+
+def _route(domain, H, cfg: SolverConfig) -> Spectral:
+    """lambda_H and T_H through exactly one route: check dimensions, turn a
+    2-D box under a quadratic H into its polygon, reduce a degenerate
+    quadratic H to its rank-1 part, then dispatch on (domain type, seminorm
+    type)."""
     d = 2 if isinstance(domain, Polygon2D) else domain.dimension
     if H.dimension != d:
         raise InvalidSeminormError(f"the seminorm is {H.dimension}-dimensional, the domain {d}-dimensional")
@@ -247,18 +246,12 @@ def _spectral(domain, H, cfg: SolverConfig) -> Spectral:
 
     rank1 = isinstance(H, Rank1Seminorm)
     if isinstance(domain, Polygon2D):
-        out = solve_rank1(domain, H) if rank1 else solve_quadratic(domain, H, cfg)
-    elif isinstance(domain, EllipsoidD):
-        out = _rank1_ellipsoid(domain, H) if rank1 else _quadratic_ellipsoid(domain, H, cfg)
-    elif rank1:
-        out = _rank1_box(domain, H)
-    else:
-        raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
-
-    _SPECTRAL_CACHE[key] = out
-    while len(_SPECTRAL_CACHE) > _SPECTRAL_CACHE_SIZE:
-        _SPECTRAL_CACHE.popitem(last=False)
-    return out
+        return solve_rank1(domain, H) if rank1 else solve_quadratic(domain, H, cfg)
+    if isinstance(domain, EllipsoidD):
+        return _rank1_ellipsoid(domain, H) if rank1 else _quadratic_ellipsoid(domain, H, cfg)
+    if rank1:
+        return _rank1_box(domain, H)
+    raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
 
 
 def eval_F(domain, H: Seminorm, q: float, cfg: SolverConfig = SolverConfig()) -> FunctionalValue:
@@ -502,8 +495,6 @@ def verify_bounds(domain, H: Seminorm, cfg: SolverConfig = SolverConfig()) -> Bo
     centrally symmetric domains and s = 1 otherwise. Bounds that need
     convexity are skipped (with a note) on non-convex domains.
     """
-    if isinstance(domain, BoxD):
-        domain = domain.to_polygon() if domain.dimension == 2 else domain
     sp = _spectral(domain, H, cfg)
     k = H.kernel_codim
     product = sp.lambda_ * sp.torsion

@@ -290,6 +290,18 @@ class TestSpecFile:
         assert code == 0
         assert json.loads(out)["q"] == 0.0
 
+    def test_fields_override_flag_defaults(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"domain": json.loads(SQUARE), "q": 0.5, "mode": "max", "class": "rank1"}))
+        code, out, _ = run_cli(["optimize", "--spec", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["mode"], report["seminorm_class"]) == ("max", "rank1")
+        assert report["value"] == pytest.approx(2.8491, abs=1e-4)
+        code, out, _ = run_cli(["optimize", "--spec", str(path), "--mode", "min"])
+        assert code == 0
+        assert (json.loads(out)["mode"], json.loads(out)["seminorm_class"]) == ("min", "rank1")
+
     def test_command_mismatch_exits_2(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"command": "bounds"}))

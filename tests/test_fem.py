@@ -76,9 +76,6 @@ class TestMeshing:
             assert mesh.areas().sum() == pytest.approx(poly.area, rel=1e-9)
             _check_conforming(mesh)
 
-    def test_cache_returns_same_object(self, unit_square):
-        assert mesh_polygon(unit_square, 0.37) is mesh_polygon(unit_square, 0.37)
-
     def test_bad_target_h(self, unit_square):
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(MeshError):
