@@ -330,41 +330,46 @@ def _cmd_kj_demo(args) -> tuple:
     return "\n".join(lines) + "\n", 0
 
 
-_SPEC_KEYS = {
-    "domain": "domain",
-    "seminorm": "seminorm",
-    "q": "q",
-    "q_grid": "q_grid",
-    "q-grid": "q_grid",
-    "mode": "mode",
-    "class": "seminorm_class",
-    "seminorm_class": "seminorm_class",
-    "h": "h",
-    "richardson": "richardson",
-    "out": "out",
-    "format": "format",
+# run spec field -> (flag dest, flag)
+_SPEC_FLAGS = {
+    "domain": ("domain", "--domain"),
+    "seminorm": ("seminorm", "--seminorm"),
+    "q": ("q", "--q"),
+    "q_grid": ("q_grid", "--q-grid"),
+    "q-grid": ("q_grid", "--q-grid"),
+    "mode": ("mode", "--mode"),
+    "class": ("seminorm_class", "--class"),
+    "seminorm_class": ("seminorm_class", "--class"),
+    "h": ("h", "--h"),
+    "richardson": ("richardson", "--richardson"),
+    "out": ("out", "--out"),
+    "format": ("format", "--format"),
 }
 
 
-def _spec_defaults(args) -> dict:
-    """The fields of the JSON run spec named by --spec, keyed by flag dest."""
+def _spec_argv(args) -> list:
+    """The fields of the JSON run spec named by --spec, as flag tokens."""
     obj = _load_json_arg(args.spec, "spec")
     if not isinstance(obj, dict):
         raise InputError("run spec must be a JSON object")
     cmd = obj.pop("command", None)
     if cmd is not None and cmd != args.command:
         raise InputError(f"spec file is for command '{cmd}', not '{args.command}'")
-    defaults = {}
+    tokens = []
     for key, value in obj.items():
-        attr = _SPEC_KEYS.get(key)
-        if attr is None:
+        if key not in _SPEC_FLAGS:
             raise InputError(f"unknown run spec field '{key}'")
-        if not hasattr(args, attr):
+        dest, flag = _SPEC_FLAGS[key]
+        if not hasattr(args, dest):
             raise InputError(f"field '{key}' does not apply to '{args.command}'")
-        if attr in ("domain", "seminorm") and isinstance(value, dict):
-            value = json.dumps(value)
-        defaults[attr] = value
-    return defaults
+        if flag == "--richardson":
+            if not isinstance(value, bool):
+                raise InputError(f"run spec field '{key}' must be true or false")
+            if value:
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 def _add_common(p, *, domain=False, seminorm=False, fmt="json") -> None:
@@ -379,8 +384,7 @@ def _add_common(p, *, domain=False, seminorm=False, fmt="json") -> None:
     p.add_argument("--spec", default=None, help="JSON file of run parameters; explicit flags win")
 
 
-def _build_parser() -> tuple:
-    """The parser and its subcommand parsers by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anisospec",
         description="Anisotropic eigenvalue/torsion products on polygons, boxes and ellipsoids.",
@@ -417,7 +421,7 @@ def _build_parser() -> tuple:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
-    return parser, sub.choices
+    return parser
 
 
 _HANDLERS = {
@@ -438,14 +442,16 @@ def _require(args, *names) -> None:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "spec", None) is not None:
-            # the spec's fields become the subcommand's defaults, so a parse
-            # again fills every flag not given and explicit flags still win
-            commands[args.command].set_defaults(**_spec_defaults(args))
-            args = parser.parse_args(argv)
+            # the spec's fields go in as flags right after the subcommand:
+            # argparse checks them as it checks the given flags, and those,
+            # parsed later, still win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _spec_argv(args) + argv[at:])
         if args.command in ("eval",):
             _require(args, "domain", "seminorm", "q")
         elif args.command == "optimize":

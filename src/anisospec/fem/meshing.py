@@ -103,16 +103,6 @@ class TriMesh:
         T = self.triangles[:, [0, 2, 1]] if det < 0 else self.triangles
         return TriMesh.from_arrays(self.nodes @ B.T, T)
 
-    def dump(self, path) -> None:
-        """Plain-text listing: node lines "x y", triangle lines "i j k", then
-        one line with the boundary node indices."""
-        with open(path, "w") as fh:
-            for x, y in self.nodes:
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
-            for a, b, c in self.triangles:
-                fh.write(f"{a} {b} {c}\n")
-            fh.write(" ".join(str(i) for i in self.boundary_nodes) + "\n")
-
 
 def _edge_array(T: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]]), axis=1)

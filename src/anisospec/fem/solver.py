@@ -9,9 +9,9 @@ on the interior nodes (zero Dirichlet data eliminated), serve every Q,
 
 One sparse LU factorization of K_Q gives the torsion T_H = f^T K_Q^-1 f and
 drives shift-invert Lanczos (ARPACK) for lambda_H = min eig(K_Q, M), started
-from the torsion solution and accepted only when its residual passes
-`eig_tol`. The Euclidean solvers are the case Q = I. This is the discrete
-problem of the Euclidean solve on the mapped mesh B Omega with
+from the torsion solution and accepted only when its relative residual is
+at most `_EIG_TOL`. The Euclidean solvers are the case Q = I. This is the
+discrete problem of the Euclidean solve on the mapped mesh B Omega with
 B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
@@ -43,29 +43,23 @@ __all__ = [
 ]
 
 _EUCLID = np.eye(2)
+# bound on the relative eigen-residual |K y - lambda M y| / (lambda |M y|)
+_EIG_TOL = 1e-8
+# cap on the shift-invert Lanczos iterations, one solve with the LU factors each
+_MAX_ITERS = 20000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and eigensolver controls for the FEM solvers.
-
-    eig_tol bounds the relative eigen-residual |K y - lambda M y| /
-    (lambda |M y|); max_iters caps the shift-invert Lanczos iterations, one
-    solve with the LU factors each.
-    """
+    """Discretization controls for the FEM solvers: the target mesh size and
+    whether to extrapolate from a nested mesh pair (Richardson)."""
 
     target_h: float = 0.05
-    eig_tol: float = 1e-8
-    max_iters: int = 20000
     richardson: bool = False
 
     def __post_init__(self):
         if not (self.target_h > 0):
             raise ValueError("target_h must be positive")
-        if not (self.eig_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
 
 def _local_matrices(mesh: TriMesh):
@@ -163,7 +157,7 @@ def _levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
 _ASSEMBLIES = Memo(1)
 
 
-def _solve(a: _Assembly, Q, cfg: SolverConfig, eigen: bool = True):
+def _solve(a: _Assembly, Q, eigen: bool = True):
     """(lambda or None, torsion) for the form with Gram matrix Q from one
     sparse LU factorization of K_Q."""
     K = a.stiffness(Q)
@@ -188,13 +182,13 @@ def _solve(a: _Assembly, Q, cfg: SolverConfig, eigen: bool = True):
         def apply_inverse(x):
             nonlocal steps
             steps += 1
-            if steps > cfg.max_iters:
-                raise SolverError(f"shift-invert Lanczos did not converge in {cfg.max_iters} iterations")
+            if steps > _MAX_ITERS:
+                raise SolverError(f"shift-invert Lanczos did not converge in {_MAX_ITERS} iterations")
             return lu.solve(x)
 
         # shift-invert at 0 iterates with K_Q^-1 M from the torsion solution,
         # a positive start close to the ground state. ARPACK tests its Ritz
-        # estimate on that operator, so it runs 100x tighter than eig_tol to
+        # estimate on that operator, so it runs 100x tighter than _EIG_TOL to
         # leave the residual checked below well inside it.
         try:
             vals, vecs = eigsh(
@@ -205,26 +199,26 @@ def _solve(a: _Assembly, Q, cfg: SolverConfig, eigen: bool = True):
                 OPinv=LinearOperator((n, n), matvec=apply_inverse, dtype=float),
                 v0=u,
                 ncv=min(n, 10),  # extracting the Ritz vector costs more with a longer basis
-                tol=0.01 * cfg.eig_tol,
+                tol=0.01 * _EIG_TOL,
             )
         except ArpackError as exc:
             raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
         lam, y = float(vals[0]), vecs[:, 0]
     My = a.M @ y
     residual = float(np.linalg.norm(K @ y - lam * My) / (lam * np.linalg.norm(My)))
-    if not residual <= cfg.eig_tol:
-        raise SolverError(f"eigen-residual {residual:.3e} exceeds eig_tol {cfg.eig_tol:.1e}")
+    if not residual <= _EIG_TOL:
+        raise SolverError(f"eigen-residual {residual:.3e} exceeds the bound {_EIG_TOL:.1e}")
     return lam, torsion
 
 
-def _fem(levels: list[_Assembly], Q, cfg: SolverConfig, eigen: bool = True):
+def _fem(levels: list[_Assembly], Q, eigen: bool = True):
     """(lambda, torsion, h_used, lambda error, torsion error, provenance) on
     the first level, extrapolated from the second (its uniform refinement)
-    under second-order convergence when cfg.richardson is set."""
-    lam, tor = _solve(levels[0], Q, cfg, eigen)
-    if not cfg.richardson:
+    under second-order convergence when there is one."""
+    lam, tor = _solve(levels[0], Q, eigen)
+    if len(levels) == 1:
         return lam, tor, levels[0].h, 0.0, 0.0, "fem"
-    lam_fine, tor_fine = _solve(levels[1], Q, cfg, eigen)
+    lam_fine, tor_fine = _solve(levels[1], Q, eigen)
     lam, err_lam = _extrapolate(lam, lam_fine)
     tor, err_tor = _extrapolate(tor, tor_fine)
     return lam, tor, levels[1].h, err_lam, err_tor, "fem_richardson"
@@ -237,32 +231,16 @@ def _extrapolate(coarse, fine):
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
-def _lambda_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
-    return _solve(_Assembly.of(mesh), _EUCLID, cfg)[0]
-
-
-def _torsion_on_mesh(mesh: TriMesh, cfg: SolverConfig) -> float:
-    return _solve(_Assembly.of(mesh), _EUCLID, cfg, eigen=False)[1]
-
-
 def torsion_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean torsional rigidity of a polygon by P1 FEM."""
-    _, tor, h_used, _, err, prov = _fem(_levels(polygon, cfg), _EUCLID, cfg, eigen=False)
+    _, tor, h_used, _, err, prov = _fem(_levels(polygon, cfg), _EUCLID, eigen=False)
     return Spectral(None, tor, prov, prov, error_estimate=err, h_used=h_used)
 
 
 def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean first Dirichlet eigenvalue of a polygon by P1 FEM."""
-    lam, _, h_used, err, _, prov = _fem(_levels(polygon, cfg), _EUCLID, cfg)
+    lam, _, h_used, err, _, prov = _fem(_levels(polygon, cfg), _EUCLID)
     return Spectral(lam, None, prov, prov, error_estimate=err, h_used=h_used)
-
-
-def transform_matrix(H: QuadraticSeminorm) -> np.ndarray:
-    """B with H(x) = |B^-T ... | -- concretely B = diag(1/alpha) R^T, so that
-    the seminorm pulled to B Omega is Euclidean."""
-    if H.kernel_codim != H.dimension:
-        raise InvalidSeminormError("transform needs a nondegenerate quadratic seminorm")
-    return np.diag(1.0 / H.alphas) @ H.rotation.T
 
 
 def solve_quadratic(
@@ -284,5 +262,5 @@ def solve_quadratic(
     if codim == 1:
         raise InvalidSeminormError("solve_quadratic needs a nondegenerate seminorm (eval_F slices a rank-1 one)")
     levels = _ASSEMBLIES.get_or((polygon.fingerprint, cfg.target_h, cfg.richardson), lambda: _levels(polygon, cfg))
-    lam, tor, h_used, err_lam, err_tor, prov = _fem(levels, H.gram(), cfg)
+    lam, tor, h_used, err_lam, err_tor, prov = _fem(levels, H.gram())
     return Spectral(lam, tor, prov, prov, error_estimate=max(err_lam, err_tor), h_used=h_used)

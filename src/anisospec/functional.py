@@ -39,14 +39,12 @@ from .errors import (
     UnsupportedError,
 )
 from .fem import SolverConfig, lambda_euclid_fem, solve_quadratic
-from .fem.solver import transform_matrix
 from .geometry import (
     BoxD,
     EllipsoidD,
     Polygon2D,
     ellipse_polygon,
     is_centrally_symmetric,
-    linear_image,
     measure,
 )
 from .memo import Memo
@@ -206,9 +204,10 @@ def _rank1_box(domain: BoxD, H: Rank1Seminorm) -> Spectral:
 def _quadratic_ellipsoid(domain: EllipsoidD, H: QuadraticSeminorm, cfg: SolverConfig) -> Spectral:
     if domain.dimension != 2:
         raise UnsupportedError("no eigenvalue solver for quadratic seminorms on ellipsoids above dimension 2")
-    B = transform_matrix(H)
-    image = linear_image(domain, B)
-    axes = image.semi_axes
+    # semi-axes of the image ellipse B E, B = diag(1/alpha) R^T, in descending
+    # order; lambda_H(E) and T_H(E) depend on nothing else
+    M = np.diag(1.0 / H.alphas) @ H.rotation.T @ domain.rotation @ np.diag(domain.semi_axes)
+    axes = np.linalg.svd(M)[1]
     det_scale = float(np.prod(H.alphas))
     tor = torsion_euclid_ellipsoid(axes) * det_scale
     ratio = float(axes[0] / axes[1])

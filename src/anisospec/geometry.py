@@ -9,8 +9,8 @@ Conventions:
   ``slab_decomposition``, ``directional_width``) rotate the plane so the
   requested direction maps to the second coordinate axis; offsets are measured
   along the first axis of the rotated frame.
-* Geometric tolerances are absolute, default ``GEOM_TOL = 1e-12``, and scale
-  with the coordinate magnitude where noted.
+* Geometric tolerances are ``GEOM_TOL = 1e-12``, absolute or scaled with the
+  coordinate magnitude where noted.
 """
 
 from __future__ import annotations
@@ -43,21 +43,17 @@ class Direction:
 
     __slots__ = ("vector",)
 
-    def __init__(self, vector, tol: float = GEOM_TOL):
+    def __init__(self, vector):
         v = np.array(vector, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise InvalidDomainError("direction must be a one-dimensional vector")
         if not np.all(np.isfinite(v)):
             raise InvalidDomainError("direction entries must be finite")
         n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > tol:
+        if abs(n - 1.0) > GEOM_TOL:
             raise InvalidDomainError(f"direction must have unit norm, got |v| = {n!r}")
         v.flags.writeable = False
         self.vector = v
-
-    @classmethod
-    def from_angle(cls, theta: float) -> "Direction":
-        return cls((math.cos(theta), math.sin(theta)))
 
     @classmethod
     def normalized(cls, vector) -> "Direction":
@@ -143,7 +139,7 @@ class Polygon2D:
 
     __slots__ = ("vertices", "is_convex", "fingerprint")
 
-    def __init__(self, vertices, tol: float = GEOM_TOL, check_simple: bool = True):
+    def __init__(self, vertices, check_simple: bool = True):
         V = np.array(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
             raise InvalidDomainError("polygon needs an (n, 2) vertex array with n >= 3")
@@ -151,22 +147,23 @@ class Polygon2D:
             raise InvalidDomainError("polygon vertices must be finite")
         scale = max(1.0, float(np.abs(V).max()))
         gaps = np.linalg.norm(np.roll(V, -1, axis=0) - V, axis=1)
-        if np.any(gaps <= tol * scale):
+        if np.any(gaps <= GEOM_TOL * scale):
             raise InvalidDomainError("polygon has repeated consecutive vertices")
+        eps = GEOM_TOL * scale * scale
         area2 = 2.0 * _shoelace(V)
-        if area2 <= tol * scale * scale:
-            if area2 < -tol * scale * scale:
+        if area2 <= eps:
+            if area2 < -eps:
                 raise InvalidDomainError(
                     "polygon vertices must be counter-clockwise (signed area is negative)"
                 )
             raise InvalidDomainError("polygon is degenerate (zero signed area)")
         if check_simple and len(V) > 3:
-            _assert_simple(V, tol * scale * scale)
+            _assert_simple(V, eps)
         E = np.roll(V, -1, axis=0) - V
         turns = _cross2(E, np.roll(E, -1, axis=0))
         V.flags.writeable = False
         self.vertices = V
-        self.is_convex = bool(np.all(turns >= -tol * scale * scale))
+        self.is_convex = bool(np.all(turns >= -eps))
         # one bytes object per polygon, shared by every cache key built from it
         self.fingerprint = V.tobytes()
 
@@ -177,17 +174,6 @@ class Polygon2D:
     @property
     def area(self) -> float:
         return _shoelace(self.vertices)
-
-    def centroid(self) -> np.ndarray:
-        V = self.vertices
-        W = np.roll(V, -1, axis=0)
-        c = _cross2(V, W)
-        return (V + W).T @ c / (6.0 * self.area)
-
-    def diameter(self) -> float:
-        V = self.vertices
-        D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
-        return float(D.max())
 
     def __repr__(self):
         return f"Polygon2D(<{self.n_vertices} vertices>, area={self.area:.6g})"
@@ -218,14 +204,14 @@ class BoxD:
 
     __slots__ = ("intervals",)
 
-    def __init__(self, intervals, tol: float = GEOM_TOL):
+    def __init__(self, intervals):
         I = np.array(intervals, dtype=float)
         if I.ndim != 2 or I.shape[1] != 2 or I.shape[0] < 1:
             raise InvalidDomainError("box needs a (d, 2) interval array")
         if not np.all(np.isfinite(I)):
             raise InvalidDomainError("box intervals must be finite")
         scale = max(1.0, float(np.abs(I).max()))
-        if np.any(I[:, 1] - I[:, 0] <= tol * scale):
+        if np.any(I[:, 1] - I[:, 0] <= GEOM_TOL * scale):
             raise InvalidDomainError("box intervals must have positive width")
         I.flags.writeable = False
         self.intervals = I
@@ -253,7 +239,7 @@ class EllipsoidD:
 
     __slots__ = ("semi_axes", "rotation")
 
-    def __init__(self, semi_axes, rotation=None, tol: float = 1e-12):
+    def __init__(self, semi_axes, rotation=None):
         a = np.array(np.atleast_1d(semi_axes), dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise InvalidDomainError("semi_axes must be a one-dimensional array")
@@ -265,7 +251,7 @@ class EllipsoidD:
             raise InvalidDomainError("rotation must be a d x d matrix")
         if not np.all(np.isfinite(R)):
             raise InvalidDomainError("rotation entries must be finite")
-        if np.abs(R.T @ R - np.eye(d)).max() > tol:
+        if np.abs(R.T @ R - np.eye(d)).max() > GEOM_TOL:
             raise InvalidDomainError("rotation must be orthogonal within 1e-12")
         a.flags.writeable = False
         R.flags.writeable = False
@@ -275,10 +261,6 @@ class EllipsoidD:
     @property
     def dimension(self) -> int:
         return self.semi_axes.size
-
-    def is_ball(self, tol: float = GEOM_TOL) -> bool:
-        a = self.semi_axes
-        return bool(np.all(np.abs(a - a[0]) <= tol * a[0]))
 
     def __repr__(self):
         return f"EllipsoidD(semi_axes={self.semi_axes.tolist()})"
@@ -312,13 +294,13 @@ def _dedup_sorted(vals: np.ndarray, eps: float) -> np.ndarray:
     return vals[keep]
 
 
-def slab_breakpoints(polygon: Polygon2D, omega, tol: float = GEOM_TOL) -> np.ndarray:
+def slab_breakpoints(polygon: Polygon2D, omega) -> np.ndarray:
     """Sorted unique projections of the vertices onto the axis orthogonal to
     the slice lines (the first axis of the rotated frame)."""
     R = rotation_to_vertical(omega)
     xs = polygon.vertices @ R[0]
     scale = max(1.0, float(np.abs(polygon.vertices).max()))
-    return _dedup_sorted(np.sort(xs), tol * scale)
+    return _dedup_sorted(np.sort(xs), GEOM_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -333,7 +315,7 @@ class SliceSet:
         return float(sum(b - a for a, b in self.intervals))
 
 
-def slice_polygon(polygon: Polygon2D, omega, t: float, tol: float = GEOM_TOL) -> SliceSet:
+def slice_polygon(polygon: Polygon2D, omega, t: float) -> SliceSet:
     """Intervals {y : (t, y) in R @ polygon} where R maps omega to the second axis.
 
     Lines through a vertex are handled by a half-open crossing rule; tangential
@@ -342,7 +324,7 @@ def slice_polygon(polygon: Polygon2D, omega, t: float, tol: float = GEOM_TOL) ->
     R = rotation_to_vertical(omega)
     V = polygon.vertices @ R.T
     scale = max(1.0, float(np.abs(V).max()), abs(t))
-    eps = tol * scale
+    eps = GEOM_TOL * scale
     xs = V[:, 0].copy()
     xs[np.abs(xs - t) <= eps] = t
     ys = V[:, 1]
@@ -390,7 +372,7 @@ class SlabDecomposition:
         return float((1.0 - s) * self.len_lo[k] + s * self.len_hi[k])
 
 
-def slab_decomposition(polygon: Polygon2D, omega, tol: float = GEOM_TOL) -> SlabDecomposition:
+def slab_decomposition(polygon: Polygon2D, omega) -> SlabDecomposition:
     """Decompose the polygon into slabs between vertex projections.
 
     The rotated frame maps omega to the second axis; slices run vertically and
@@ -399,7 +381,7 @@ def slab_decomposition(polygon: Polygon2D, omega, tol: float = GEOM_TOL) -> Slab
     R = rotation_to_vertical(omega)
     V = polygon.vertices @ R.T
     scale = max(1.0, float(np.abs(V).max()))
-    eps = tol * scale
+    eps = GEOM_TOL * scale
     xs = V[:, 0]
     bps = _dedup_sorted(np.sort(xs), eps)
     if len(bps) < 2:
@@ -448,95 +430,42 @@ def slab_decomposition(polygon: Polygon2D, omega, tol: float = GEOM_TOL) -> Slab
     )
 
 
-def directional_width(polygon: Polygon2D, omega, tol: float = GEOM_TOL) -> float:
+def directional_width(polygon: Polygon2D, omega) -> float:
     """Length of the longest connected chord of the polygon parallel to omega.
 
     Within each slab every component length is affine in the offset, so the
     maximum is attained at a slab endpoint.
     """
-    dec = slab_decomposition(polygon, omega, tol=tol)
+    dec = slab_decomposition(polygon, omega)
     return max(float(dec.len_lo.max()), float(dec.len_hi.max()), 0.0)
 
 
-def _canonical_svd(M: np.ndarray, tol: float = GEOM_TOL):
-    """SVD with descending singular values, sign-fixed and de-degenerated U."""
-    U, s, _ = np.linalg.svd(M)
-    # Tie groups: within a group of equal singular values the left basis is
-    # arbitrary, so replace it by a deterministic basis of the same subspace.
-    d = len(s)
-    i = 0
-    ref = max(s[0], 1.0)
-    while i < d:
-        j = i + 1
-        while j < d and abs(s[j] - s[i]) <= tol * ref:
-            j += 1
-        if j - i > 1:
-            # index-greedy Gram-Schmidt over the projector's columns; some
-            # column always carries residual norm >= 1/sqrt(d), so the pass
-            # recovers the full subspace (plain QR of the rank-deficient
-            # projector would not)
-            P = U[:, i:j] @ U[:, i:j].T
-            basis = []
-            thresh = 0.5 / math.sqrt(d)
-            for e in range(d):
-                v = P[:, e].copy()
-                for b in basis:
-                    v -= (b @ v) * b
-                n = float(np.linalg.norm(v))
-                if n <= thresh:
-                    continue
-                v /= n
-                for b in basis:
-                    v -= (b @ v) * b
-                v /= float(np.linalg.norm(v))
-                basis.append(v)
-                if len(basis) == j - i:
-                    break
-            U[:, i:j] = np.column_stack(basis)
-        i = j
-    for j in range(d):
-        k = int(np.argmax(np.abs(U[:, j])))
-        if U[k, j] < 0:
-            U[:, j] = -U[:, j]
-    return U, s
-
-
-def linear_image(domain, A, tol: float = GEOM_TOL):
-    """Image of a polygon or ellipsoid under an invertible linear map."""
+def linear_image(polygon, A) -> Polygon2D:
+    """Image of a polygon under an invertible linear map."""
+    if not isinstance(polygon, Polygon2D):
+        raise UnsupportedError("linear images are implemented for polygons only")
     A = np.asarray(A, dtype=float)
-    if isinstance(domain, Polygon2D):
-        if A.shape != (2, 2):
-            raise InvalidDomainError("polygon images need a 2 x 2 matrix")
-        det = float(np.linalg.det(A))
-        if abs(det) <= tol:
-            raise SingularMapError("non-invertible map")
-        W = domain.vertices @ A.T
-        if det < 0:
-            W = W[::-1]
-        return Polygon2D(W, check_simple=False)
-    if isinstance(domain, EllipsoidD):
-        d = domain.dimension
-        if A.shape != (d, d):
-            raise InvalidDomainError(f"ellipsoid images need a {d} x {d} matrix")
-        if abs(np.linalg.det(A)) <= tol:
-            raise SingularMapError("non-invertible map")
-        M = A @ domain.rotation @ np.diag(domain.semi_axes)
-        U, s = _canonical_svd(M, tol=tol)
-        return EllipsoidD(s, U)
-    if isinstance(domain, BoxD):
-        raise UnsupportedError("linear images of boxes are not boxes; convert to a polygon first")
-    raise InvalidDomainError(f"unknown domain type {type(domain).__name__}")
+    if A.shape != (2, 2):
+        raise InvalidDomainError("polygon images need a 2 x 2 matrix")
+    det = float(np.linalg.det(A))
+    if abs(det) <= GEOM_TOL:
+        raise SingularMapError("non-invertible map")
+    W = polygon.vertices @ A.T
+    if det < 0:
+        W = W[::-1]
+    return Polygon2D(W, check_simple=False)
 
 
-def is_centrally_symmetric(polygon: Polygon2D, tol: float = 1e-9) -> bool:
+def is_centrally_symmetric(polygon: Polygon2D) -> bool:
     """True when the vertex set is symmetric about its mean."""
     V = polygon.vertices
     if len(V) % 2 != 0:
         return False
     c = V.mean(axis=0)
     scale = max(1.0, float(np.abs(V).max()))
-    A = np.array(sorted(map(tuple, np.round(V / (tol * scale)).astype(np.int64))))
-    B = np.array(sorted(map(tuple, np.round((2.0 * c - V) / (tol * scale)).astype(np.int64))))
+    grid = 1e-9 * scale  # vertices match their reflections to 1e-9 of the coordinate scale
+    A = np.array(sorted(map(tuple, np.round(V / grid).astype(np.int64))))
+    B = np.array(sorted(map(tuple, np.round((2.0 * c - V) / grid).astype(np.int64))))
     return bool(np.all(np.abs(A - B) <= 1))
 
 

@@ -95,7 +95,7 @@ class QuadraticSeminorm:
 
     __slots__ = ("rotation", "alphas")
 
-    def __init__(self, rotation, alphas, tol: float = 1e-12):
+    def __init__(self, rotation, alphas):
         a = np.array(np.atleast_1d(alphas), dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise InvalidSeminormError("alphas must be a one-dimensional vector")
@@ -107,7 +107,7 @@ class QuadraticSeminorm:
             raise InvalidSeminormError("rotation must be a d x d matrix")
         if not np.all(np.isfinite(R)):
             raise InvalidSeminormError("rotation entries must be finite")
-        if np.abs(R.T @ R - np.eye(d)).max() > tol:
+        if np.abs(R.T @ R - np.eye(d)).max() > SEMINORM_TOL:
             raise InvalidSeminormError("rotation must be orthogonal within 1e-12")
         order = np.argsort(-a, kind="stable")
         a = a[order]

@@ -42,7 +42,7 @@ from anisospec import (
     torsion_quadratic_ball,
     torsion_rank1_ellipsoid,
 )
-from anisospec.fem.solver import _lambda_on_mesh, _torsion_on_mesh
+from anisospec.fem.solver import _Assembly, _solve
 
 # Bessel j_{0,1}^2: first Dirichlet eigenvalue of the unit disc.
 J01_SQUARED = 5.783185962946785
@@ -368,10 +368,8 @@ def _suite_refinement_monotonicity() -> tuple[int, float]:
         poly = random_convex_polygon(rng, n_points=10, scale=1.0)
         coarse = mesh_polygon(poly, cfg.target_h)
         fine = coarse.refined()
-        lam_c = _lambda_on_mesh(coarse, cfg)
-        lam_f = _lambda_on_mesh(fine, cfg)
-        tor_c = _torsion_on_mesh(coarse, cfg)
-        tor_f = _torsion_on_mesh(fine, cfg)
+        lam_c, tor_c = _solve(_Assembly.of(coarse), np.eye(2))
+        lam_f, tor_f = _solve(_Assembly.of(fine), np.eye(2))
         worst = max(worst, lam_f / lam_c - 1.0, 1.0 - tor_f / tor_c)
         cases += 1
     return cases, worst

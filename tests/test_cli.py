@@ -316,6 +316,36 @@ class TestSpecFile:
         assert code == 2
         assert "tolerance" in err
 
+    @pytest.mark.parametrize(
+        "command, field, flag",
+        [
+            ("optimize", {"q": 1.0, "class": "rnak1"}, "--class"),
+            ("sweep", {"q_grid": "1:2:1", "format": "xml"}, "--format"),
+            ("eval", {"seminorm": json.loads(EUCLID), "q": [1]}, "--q"),
+        ],
+    )
+    def test_field_checked_like_its_flag(self, tmp_path, command, field, flag):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"domain": json.loads(SQUARE), **field}))
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([command, "--spec", str(path)])
+        assert exc.value.code == 2
+        assert flag in err.getvalue()
+
+    def test_richardson_must_be_boolean(self, tmp_path):
+        spec = {"domain": json.loads(DISC), "seminorm": json.loads(EUCLID), "q": 1.0, "h": 0.3}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(spec, richardson="no")))
+        code, _, err = run_cli(["eval", "--spec", str(path)])
+        assert code == 2
+        assert "richardson" in err
+        path.write_text(json.dumps(dict(spec, richardson=False)))
+        code, out, _ = run_cli(["eval", "--spec", str(path)])
+        assert (code, json.loads(out)["lambda_provenance"]) == (0, "fem")
+        code, out, _ = run_cli(["eval", "--spec", str(path), "--richardson"])
+        assert (code, json.loads(out)["lambda_provenance"]) == (0, "fem_richardson")
+
 
 def test_python_m_reproduce():
     # runs from a source checkout: the package's parent directory goes on the path

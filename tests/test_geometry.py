@@ -35,10 +35,6 @@ class TestDirection:
         with pytest.raises(InvalidDomainError):
             Direction([1.0, 1.0])
 
-    def test_from_angle(self):
-        d = Direction.from_angle(np.pi / 3)
-        assert d.vector == pytest.approx([0.5, np.sqrt(3) / 2])
-
     def test_normalized(self):
         d = Direction.normalized([3.0, 4.0])
         assert d.vector == pytest.approx([0.6, 0.8])
@@ -101,12 +97,6 @@ class TestPolygonValidation:
         assert not l_shape.is_convex
         assert l_shape.area == pytest.approx(3.0)
 
-    def test_centroid(self, unit_square):
-        assert unit_square.centroid() == pytest.approx([0.5, 0.5])
-
-    def test_diameter(self, l_shape):
-        assert l_shape.diameter() == pytest.approx(np.sqrt(8.0))
-
     def test_random_star_polygons_accepted(self, rng):
         for _ in range(50):
             p = random_star_polygon(rng)
@@ -158,10 +148,6 @@ class TestEllipsoid:
     def test_rotation_must_be_orthogonal(self):
         with pytest.raises(InvalidDomainError):
             EllipsoidD([1.0, 2.0], [[1.0, 0.1], [0.0, 1.0]])
-
-    def test_is_ball(self):
-        assert EllipsoidD([1.5, 1.5]).is_ball()
-        assert not EllipsoidD([1.5, 1.0]).is_ball()
 
 
 class TestMeasurePolygon:
@@ -353,48 +339,8 @@ class TestLinearImage:
     def test_box_unsupported(self):
         with pytest.raises(UnsupportedError):
             linear_image(BoxD([[0, 1], [0, 1]]), np.eye(2))
-
-    def test_ellipsoid_axes_sorted(self):
-        e = linear_image(EllipsoidD([1.0, 1.0]), np.diag([1.0, 3.0]))
-        assert e.semi_axes == pytest.approx([3.0, 1.0])
-
-    def test_ellipsoid_measure_scales_by_det(self, rng):
-        for _ in range(20):
-            a = rng.uniform(0.5, 2.0, size=3)
-            A = rng.normal(size=(3, 3))
-            if abs(np.linalg.det(A)) < 1e-3:
-                continue
-            e = EllipsoidD(a)
-            img = linear_image(e, A)
-            assert measure(img) == pytest.approx(abs(np.linalg.det(A)) * measure(e), rel=1e-10)
-
-    def test_ball_image_is_rotation_independent(self, rng):
-        # for a ball, A Q diag(a) and A diag(a) describe the same ellipsoid
-        for _ in range(10):
-            A = rng.normal(size=(2, 2))
-            if abs(np.linalg.det(A)) < 1e-3:
-                continue
-            th = rng.uniform(0, 2 * np.pi)
-            Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-            e1 = linear_image(EllipsoidD([2.0, 2.0]), A)
-            e2 = linear_image(EllipsoidD([2.0, 2.0], Q), A)
-            assert e1.semi_axes == pytest.approx(e2.semi_axes, rel=1e-10)
-            assert abs(np.linalg.det(e1.rotation)) == pytest.approx(1.0)
-
-    def test_isotropic_image_of_ball_is_canonical(self):
-        e = linear_image(EllipsoidD([1.0, 1.0]), 2.0 * np.eye(2))
-        assert e.semi_axes == pytest.approx([2.0, 2.0])
-        assert e.rotation == pytest.approx(np.eye(2))
-
-    def test_partial_axis_tie_keeps_rotation_orthogonal(self):
-        # repeated singular values not starting at the first column used to
-        # come back with duplicated basis vectors
-        e = linear_image(EllipsoidD([2.0, 1.0, 1.0]), np.eye(3))
-        assert e.rotation.T @ e.rotation == pytest.approx(np.eye(3), abs=1e-12)
-        assert e.semi_axes == pytest.approx([2.0, 1.0, 1.0])
-        e = linear_image(EllipsoidD([1.0, 1.0, 1.0]), np.diag([3.0, 3.0, 0.5]))
-        assert e.rotation.T @ e.rotation == pytest.approx(np.eye(3), abs=1e-12)
-        assert e.semi_axes == pytest.approx([3.0, 3.0, 0.5])
+        with pytest.raises(UnsupportedError):
+            linear_image(EllipsoidD([1.0, 1.0]), np.eye(2))
 
 
 class TestCentralSymmetry:
