@@ -469,7 +469,11 @@ def main(argv=None) -> int:
         return 3
     sys.stdout.write(text)
     if args.out is not None:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"{args.command}: cannot write output file '{args.out}': {exc}", file=sys.stderr)
+            return 2
     return code
 
 

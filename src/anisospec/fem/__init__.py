@@ -6,7 +6,6 @@ from .solver import (
     SolverConfig,
     lambda_euclid_fem,
     solve_quadratic,
-    torsion_euclid_fem,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "lambda_euclid_fem",
     "mesh_polygon",
     "solve_quadratic",
-    "torsion_euclid_fem",
 ]

@@ -42,11 +42,11 @@ class TriMesh:
             raise MeshError("nodes must form an (N, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3 or len(triangles) == 0:
             raise MeshError("triangles must form a nonempty (M, 3) index array")
-        edges = _edge_array(triangles)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        n = len(nodes)
+        keys, counts = np.unique(_edge_keys(triangles, n), return_counts=True)
         if counts.max(initial=0) > 2:
             raise MeshError("non-conforming mesh: an edge belongs to more than two triangles")
-        boundary = np.unique(uniq[counts == 1])
+        boundary = np.unique(np.divmod(keys[counts == 1], n))
         P = nodes[triangles]
         lengths = np.linalg.norm(P - np.roll(P, -1, axis=1), axis=2)
         nodes.flags.writeable = False
@@ -75,10 +75,11 @@ class TriMesh:
         """Uniform midpoint refinement: each triangle splits into four similar
         children; the result is nested in this mesh."""
         T = self.triangles
-        edges = np.sort(np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]]), axis=1)
-        uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
-        mid_index = self.n_nodes + np.arange(len(uniq))
-        midpoints = 0.5 * (self.nodes[uniq[:, 0]] + self.nodes[uniq[:, 1]])
+        n = self.n_nodes
+        uniq, inverse = np.unique(_edge_keys(T, n), return_inverse=True)
+        lo, hi = np.divmod(uniq, n)
+        mid_index = n + np.arange(len(uniq))
+        midpoints = 0.5 * (self.nodes[lo] + self.nodes[hi])
         m = len(T)
         ab = mid_index[inverse[:m]]
         bc = mid_index[inverse[m : 2 * m]]
@@ -104,8 +105,11 @@ class TriMesh:
         return TriMesh.from_arrays(self.nodes @ B.T, T)
 
 
-def _edge_array(T: np.ndarray) -> np.ndarray:
-    return np.sort(np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]]), axis=1)
+def _edge_keys(T: np.ndarray, n: int) -> np.ndarray:
+    """Key a * n + b (a < b) of each edge of the triangles T on n nodes, all (0, 1)
+    edges first, then (1, 2), then (2, 0); sorted keys sort the edges row-wise."""
+    E = np.concatenate([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
+    return E.min(axis=1) * n + E.max(axis=1)
 
 
 def _sample_boundary(V: np.ndarray, spacing: float) -> np.ndarray:
@@ -211,12 +215,12 @@ def _grid_delaunay(polygon: Polygon2D, target_h: float):
     return pts[used], remap[T]
 
 
-def _ear_clip(V: np.ndarray, tol: float) -> np.ndarray:
+def _ear_clip(V: np.ndarray) -> np.ndarray:
     """Greedy ear clipping, always taking the best-shaped available ear."""
     n = len(V)
     scale = max(1.0, float(np.abs(V).max()))
-    eps = tol * scale * scale
-    dist_eps = tol * scale
+    eps = GEOM_TOL * scale * scale
+    dist_eps = GEOM_TOL * scale
     idx = list(range(n))
     out = []
     guard = 0
@@ -397,6 +401,6 @@ def mesh_polygon(polygon: Polygon2D, target_h: float) -> TriMesh:
         flagged[candidate.boundary_nodes] = True
         if np.array_equal(on_outline, flagged):
             return candidate
-    coarse = _ear_clip(V, GEOM_TOL)
+    coarse = _ear_clip(V)
     nodes, triangles = _Refiner(V, coarse, target_h).run()
     return TriMesh.from_arrays(nodes, triangles)

@@ -10,9 +10,9 @@ on the interior nodes (zero Dirichlet data eliminated), serve every Q,
 One sparse LU factorization of K_Q gives the torsion T_H = f^T K_Q^-1 f and
 drives shift-invert Lanczos (ARPACK) for lambda_H = min eig(K_Q, M), started
 from the torsion solution and accepted only when its relative residual is
-at most `_EIG_TOL`. The Euclidean solvers are the case Q = I. This is the
-discrete problem of the Euclidean solve on the mapped mesh B Omega with
-B = diag(1/alpha) R^T:
+at most `_EIG_TOL`. Every solve returns both factors; the Euclidean solver
+is the case Q = I. This is the discrete problem of the Euclidean solve on
+the mapped mesh B Omega with B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
 
@@ -39,7 +39,6 @@ __all__ = [
     "SolverConfig",
     "lambda_euclid_fem",
     "solve_quadratic",
-    "torsion_euclid_fem",
 ]
 
 _EUCLID = np.eye(2)
@@ -157,9 +156,9 @@ def _levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
 _ASSEMBLIES = Memo(1)
 
 
-def _solve(a: _Assembly, Q, eigen: bool = True):
-    """(lambda or None, torsion) for the form with Gram matrix Q from one
-    sparse LU factorization of K_Q."""
+def _solve(a: _Assembly, Q):
+    """(lambda, torsion) for the form with Gram matrix Q from one sparse LU
+    factorization of K_Q."""
     K = a.stiffness(Q)
     # K_Q is symmetric positive definite: symmetric ordering, no pivoting
     try:
@@ -170,8 +169,6 @@ def _solve(a: _Assembly, Q, eigen: bool = True):
     torsion = float(a.f @ u)
     if not np.isfinite(torsion):
         raise SolverError("torsion solve produced a non-finite value")
-    if not eigen:
-        return None, torsion
     n = len(a.f)
     if n == 1:
         # eigsh needs two unknowns; one interior node is its own eigenpair
@@ -211,36 +208,29 @@ def _solve(a: _Assembly, Q, eigen: bool = True):
     return lam, torsion
 
 
-def _fem(levels: list[_Assembly], Q, eigen: bool = True):
+def _fem(levels: list[_Assembly], Q):
     """(lambda, torsion, h_used, lambda error, torsion error, provenance) on
     the first level, extrapolated from the second (its uniform refinement)
     under second-order convergence when there is one."""
-    lam, tor = _solve(levels[0], Q, eigen)
+    lam, tor = _solve(levels[0], Q)
     if len(levels) == 1:
         return lam, tor, levels[0].h, 0.0, 0.0, "fem"
-    lam_fine, tor_fine = _solve(levels[1], Q, eigen)
+    lam_fine, tor_fine = _solve(levels[1], Q)
     lam, err_lam = _extrapolate(lam, lam_fine)
     tor, err_tor = _extrapolate(tor, tor_fine)
     return lam, tor, levels[1].h, err_lam, err_tor, "fem_richardson"
 
 
 def _extrapolate(coarse, fine):
-    """Richardson value and coarse/fine difference (None stays None)."""
-    if coarse is None:
-        return None, 0.0
+    """Richardson value and coarse/fine difference."""
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
-def torsion_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
-    """Euclidean torsional rigidity of a polygon by P1 FEM."""
-    _, tor, h_used, _, err, prov = _fem(_levels(polygon, cfg), _EUCLID, eigen=False)
-    return Spectral(None, tor, prov, prov, error_estimate=err, h_used=h_used)
-
-
 def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
-    """Euclidean first Dirichlet eigenvalue of a polygon by P1 FEM."""
-    lam, _, h_used, err, _, prov = _fem(_levels(polygon, cfg), _EUCLID)
-    return Spectral(lam, None, prov, prov, error_estimate=err, h_used=h_used)
+    """Euclidean first Dirichlet eigenvalue and torsional rigidity of a
+    polygon by P1 FEM. error_estimate is the eigenvalue's."""
+    lam, tor, h_used, err, _, prov = _fem(_levels(polygon, cfg), _EUCLID)
+    return Spectral(lam, tor, prov, prov, error_estimate=err, h_used=h_used)
 
 
 def solve_quadratic(

@@ -74,14 +74,6 @@ class Direction:
         return f"Direction({self.vector.tolist()})"
 
 
-def as_unit_vector(omega, dim: int | None = None) -> np.ndarray:
-    """Coerce a Direction or array-like to a validated unit vector."""
-    v = omega.vector if isinstance(omega, Direction) else Direction(omega).vector
-    if dim is not None and v.size != dim:
-        raise InvalidDomainError(f"direction must have dimension {dim}")
-    return v
-
-
 def _shoelace(V: np.ndarray) -> float:
     x, y = V[:, 0], V[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -179,23 +171,19 @@ class Polygon2D:
         return f"Polygon2D(<{self.n_vertices} vertices>, area={self.area:.6g})"
 
 
-def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> Polygon2D:
-    """Regular n-gon inscribed in the circle of the given radius."""
-    if n < 3:
-        raise InvalidDomainError("regular polygon needs n >= 3")
-    ang = phase + 2.0 * np.pi * np.arange(n) / n
-    V = np.column_stack([center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)])
-    return Polygon2D(V, check_simple=False)
+def regular_polygon(n: int) -> Polygon2D:
+    """Regular n-gon inscribed in the unit circle, a vertex at (1, 0)."""
+    return ellipse_polygon(1.0, 1.0, n)
 
 
-def ellipse_polygon(a: float, b: float, n: int = 256, center=(0.0, 0.0)) -> Polygon2D:
+def ellipse_polygon(a: float, b: float, n: int = 256) -> Polygon2D:
     """n-gon inscribed in the axis-aligned ellipse with semi-axes (a, b)."""
     if a <= 0 or b <= 0:
         raise InvalidDomainError("ellipse semi-axes must be positive")
     if n < 3:
         raise InvalidDomainError("ellipse polygon needs n >= 3")
     ang = 2.0 * np.pi * np.arange(n) / n
-    V = np.column_stack([center[0] + a * np.cos(ang), center[1] + b * np.sin(ang)])
+    V = np.column_stack([a * np.cos(ang), b * np.sin(ang)])
     return Polygon2D(V, check_simple=False)
 
 
@@ -282,7 +270,9 @@ def measure(domain) -> float:
 
 def rotation_to_vertical(omega) -> np.ndarray:
     """2x2 orthogonal matrix sending the unit vector omega to the second axis."""
-    w = as_unit_vector(omega, dim=2)
+    w = omega.vector if isinstance(omega, Direction) else Direction(omega).vector
+    if w.size != 2:
+        raise InvalidDomainError("direction must have dimension 2")
     return np.array([[w[1], -w[0]], [w[0], w[1]]])
 
 

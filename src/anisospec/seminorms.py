@@ -73,11 +73,6 @@ class Rank1Seminorm:
     def normalized(self) -> "Rank1Seminorm":
         return Rank1Seminorm(self.direction)
 
-    def scaled(self, t: float) -> "Rank1Seminorm":
-        if t <= 0:
-            raise InvalidSeminormError("scale factor must be positive")
-        return Rank1Seminorm(t * self.eta)
-
     def __call__(self, xi):
         return self.evaluate(xi)
 
@@ -125,19 +120,6 @@ class QuadraticSeminorm:
     def euclidean(cls, d: int) -> "QuadraticSeminorm":
         return cls(None, np.ones(d))
 
-    @classmethod
-    def from_gram(cls, Q) -> "QuadraticSeminorm":
-        """Build from the Gram matrix Q of H^2 (symmetric positive semidefinite)."""
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise InvalidSeminormError("Gram matrix must be square")
-        if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
-            raise InvalidSeminormError("Gram matrix must be symmetric")
-        w, V = np.linalg.eigh(0.5 * (Q + Q.T))
-        if w.min() < -1e-10 * max(1.0, abs(w.max())):
-            raise InvalidSeminormError("Gram matrix must be positive semidefinite")
-        return cls(V, np.sqrt(np.clip(w, 0.0, None)))
-
     @property
     def dimension(self) -> int:
         return self.alphas.size
@@ -172,11 +154,6 @@ class QuadraticSeminorm:
             raise InvalidSeminormError("cannot normalize zero")
         return QuadraticSeminorm(self.rotation, self.alphas / n)
 
-    def scaled(self, t: float) -> "QuadraticSeminorm":
-        if t <= 0:
-            raise InvalidSeminormError("scale factor must be positive")
-        return QuadraticSeminorm(self.rotation, t * self.alphas)
-
     def __call__(self, xi):
         return self.evaluate(xi)
 
@@ -191,16 +168,15 @@ Seminorm = Rank1Seminorm | QuadraticSeminorm
 class Spectral:
     """lambda_H and T_H of one (domain, seminorm) pair, as every route returns them.
 
-    A provenance is "closed_form", "slicing", "fem" or "fem_richardson"; the
-    Euclidean FEM solvers leave the factor they do not compute as None.
+    A provenance is "closed_form", "slicing", "fem" or "fem_richardson".
     error_estimate is 0 on exact routes and the coarse/fine difference of a
     Richardson pair. h_used is the finest FEM mesh size and breakpoints_used
     the number of slab breakpoints of a slicing solve; each is 0 on the
     routes that have none.
     """
 
-    lambda_: float | None
-    torsion: float | None
+    lambda_: float
+    torsion: float
     lambda_provenance: str
     torsion_provenance: str
     error_estimate: float = 0.0

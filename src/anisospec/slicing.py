@@ -23,26 +23,16 @@ from .seminorms import Rank1Seminorm, Spectral
 __all__ = ["solve_rank1"]
 
 
-def _direction_and_scale(H) -> tuple[np.ndarray, float]:
-    if isinstance(H, Rank1Seminorm):
-        if H.dimension != 2:
-            raise InvalidSeminormError("polygon slicing needs a two-dimensional seminorm")
-        return H.direction, H.operator_norm
-    v = np.asarray(H, dtype=float)
-    if v.shape != (2,):
-        raise InvalidSeminormError("expected a Rank1Seminorm or a 2-vector")
-    n = float(np.linalg.norm(v))
-    if n <= 0.0 or not np.isfinite(n):
-        raise InvalidSeminormError("eta must be nonzero")
-    return v / n, n
-
-
-def solve_rank1(polygon: Polygon2D, H) -> Spectral:
+def solve_rank1(polygon: Polygon2D, H: Rank1Seminorm) -> Spectral:
     """Both spectral quantities for a rank-1 seminorm in one decomposition pass."""
     if not isinstance(polygon, Polygon2D):
         raise InvalidDomainError("slicing solver works on Polygon2D")
-    omega, t = _direction_and_scale(H)
-    dec = slab_decomposition(polygon, omega)
+    if not isinstance(H, Rank1Seminorm):
+        raise InvalidSeminormError("solve_rank1 expects a Rank1Seminorm")
+    if H.dimension != 2:
+        raise InvalidSeminormError("polygon slicing needs a two-dimensional seminorm")
+    t = H.operator_norm
+    dec = slab_decomposition(polygon, H.direction)
 
     l0, l1 = dec.len_lo, dec.len_hi
     width = max(float(l0.max()), float(l1.max()), 0.0)

@@ -38,7 +38,6 @@ from anisospec import (
     solve_quadratic,
     solve_rank1,
     t_max_ellipsoid,
-    torsion_euclid_fem,
     torsion_quadratic_ball,
     torsion_rank1_ellipsoid,
 )
@@ -127,10 +126,10 @@ def test_criterion_04_fem_accuracy_disc_and_square():
     cfg = SolverConfig(target_h=0.05, richardson=True)
     disc = ellipse_polygon(1.0, 1.0, 256)
     t0 = time.perf_counter()
-    lam_disc = lambda_euclid_fem(disc, cfg).lambda_
-    tor_disc = torsion_euclid_fem(disc, cfg).torsion
-    lam_sq = lambda_euclid_fem(UNIT_SQUARE, cfg).lambda_
-    tor_sq = torsion_euclid_fem(UNIT_SQUARE, cfg).torsion
+    r_disc = lambda_euclid_fem(disc, cfg)
+    r_sq = lambda_euclid_fem(UNIT_SQUARE, cfg)
+    lam_disc, tor_disc = r_disc.lambda_, r_disc.torsion
+    lam_sq, tor_sq = r_sq.lambda_, r_sq.torsion
     elapsed = time.perf_counter() - t0
     rels = (
         abs(lam_disc / J01_SQUARED - 1.0),

@@ -103,6 +103,14 @@ class TestEval:
         assert code == 2
         assert "no_such_file.json" in err
 
+    def test_unwritable_out_exits_2(self, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        code, _, err = run_cli(
+            ["eval", "--domain", SQUARE, "--seminorm", AXIS_SEMINORM, "--q", "1", "--out", str(path)]
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err
+
     def test_zero_seminorm_exits_2(self):
         code, _, err = run_cli(
             ["eval", "--domain", DISC, "--seminorm", '{"kind": "quadratic", "alphas": [0, 0]}', "--q", "1"]

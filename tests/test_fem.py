@@ -11,9 +11,8 @@ from anisospec.fem import (
     lambda_euclid_fem,
     mesh_polygon,
     solve_quadratic,
-    torsion_euclid_fem,
 )
-from anisospec.fem.meshing import _dist_to_outline
+from anisospec.fem.meshing import _dist_to_outline, _grid_delaunay
 from anisospec.functional import _family_seminorm, eval_F
 from anisospec.fem import solver
 from anisospec.fem.solver import _Assembly, _solve, p1_assemble
@@ -22,6 +21,9 @@ from conftest import random_star_polygon
 J01_SQUARED = 5.783185962946785
 TORSION_SQUARE = 0.03514425373904369
 LAMBDA_SQUARE = 2.0 * np.pi**2
+# at target_h = 0.5 this 5-gon fails the grid-Delaunay fast path and is meshed
+# by the ear-clip fallback
+FALLBACK_PENTAGON = Polygon2D([[0.6, 0.3], [0.1, 0.9], [-0.1, 0.2], [-0.8, 0.3], [-0.6, 0.1]])
 
 
 def _check_conforming(mesh):
@@ -40,6 +42,11 @@ class TestMeshing:
         mesh = mesh_polygon(right_triangle, 0.3)
         assert mesh.areas().sum() == pytest.approx(0.5, abs=1e-12)
 
+    def test_ear_clip_fallback_polygon(self):
+        assert _grid_delaunay(FALLBACK_PENTAGON, 0.5) is None
+        mesh = mesh_polygon(FALLBACK_PENTAGON, 0.5)
+        assert mesh.areas().sum() == pytest.approx(FALLBACK_PENTAGON.area, abs=1e-12)
+
     def test_disc_polygon_area_near_pi(self):
         # inscribed 64-gon; the polygon itself carries the discretization gap
         disc = regular_polygon(64)
@@ -48,25 +55,28 @@ class TestMeshing:
         assert abs(disc.area - np.pi) / np.pi < 2e-3
 
     def test_h_contract(self, l_shape):
-        for target in (0.5, 0.2, 0.1):
-            mesh = mesh_polygon(l_shape, target)
+        for poly, target in ((l_shape, 0.5), (l_shape, 0.2), (l_shape, 0.1), (FALLBACK_PENTAGON, 0.5)):
+            mesh = mesh_polygon(poly, target)
             assert mesh.h <= target + 1e-12
 
     def test_all_triangles_ccw(self, u_shape):
-        mesh = mesh_polygon(u_shape, 0.2)
-        assert np.all(mesh.areas() > 0.0)
+        for poly, target in ((u_shape, 0.2), (FALLBACK_PENTAGON, 0.5)):
+            mesh = mesh_polygon(poly, target)
+            assert np.all(mesh.areas() > 0.0)
 
     def test_conforming(self, l_shape):
-        _check_conforming(mesh_polygon(l_shape, 0.15))
+        for poly, target in ((l_shape, 0.15), (FALLBACK_PENTAGON, 0.5)):
+            _check_conforming(mesh_polygon(poly, target))
 
     def test_boundary_flags_sit_on_outline(self, l_shape):
-        mesh = mesh_polygon(l_shape, 0.2)
-        d = _dist_to_outline(mesh.nodes, l_shape.vertices)
-        on = d <= 1e-9
-        flagged = np.zeros(mesh.n_nodes, dtype=bool)
-        flagged[mesh.boundary_nodes] = True
-        assert np.array_equal(on, flagged)
-        assert 0 < len(mesh.boundary_nodes) < mesh.n_nodes
+        for poly, target in ((l_shape, 0.2), (FALLBACK_PENTAGON, 0.5)):
+            mesh = mesh_polygon(poly, target)
+            d = _dist_to_outline(mesh.nodes, poly.vertices)
+            on = d <= 1e-9
+            flagged = np.zeros(mesh.n_nodes, dtype=bool)
+            flagged[mesh.boundary_nodes] = True
+            assert np.array_equal(on, flagged)
+            assert 0 < len(mesh.boundary_nodes) < mesh.n_nodes
 
     def test_star_polygon_meshes(self, rng):
         for _ in range(5):
@@ -164,32 +174,29 @@ class TestEuclidSolver:
         # conforming elements approach the eigenvalue from above
         assert r.lambda_ >= LAMBDA_SQUARE * (1.0 - 1e-10)
         assert r.lambda_provenance == "fem"
-        assert r.torsion is None and r.error_estimate == 0.0
+        assert r.error_estimate == 0.0
 
     def test_square_torsion_coarse(self, unit_square):
-        r = torsion_euclid_fem(unit_square, SolverConfig(target_h=0.15))
+        r = lambda_euclid_fem(unit_square, SolverConfig(target_h=0.15))
         assert r.torsion == pytest.approx(TORSION_SQUARE, rel=0.05)
         # and the torsion from below
         assert r.torsion <= TORSION_SQUARE * (1.0 + 1e-10)
-        assert r.lambda_ is None
 
     def test_square_richardson(self, unit_square):
         cfg = SolverConfig(target_h=0.1, richardson=True)
-        lam = lambda_euclid_fem(unit_square, cfg)
-        tor = torsion_euclid_fem(unit_square, cfg)
-        assert lam.lambda_ == pytest.approx(LAMBDA_SQUARE, rel=1e-3)
-        assert tor.torsion == pytest.approx(TORSION_SQUARE, rel=1e-3)
-        assert lam.lambda_provenance == "fem_richardson"
-        assert lam.error_estimate > 0.0
-        assert lam.h_used == pytest.approx(mesh_polygon(unit_square, 0.1).h / 2.0)
+        r = lambda_euclid_fem(unit_square, cfg)
+        assert r.lambda_ == pytest.approx(LAMBDA_SQUARE, rel=1e-3)
+        assert r.torsion == pytest.approx(TORSION_SQUARE, rel=1e-3)
+        assert r.lambda_provenance == "fem_richardson"
+        assert r.error_estimate > 0.0
+        assert r.h_used == pytest.approx(mesh_polygon(unit_square, 0.1).h / 2.0)
 
     def test_disc_polygon_richardson(self):
         cfg = SolverConfig(target_h=0.12, richardson=True)
         disc = regular_polygon(64)
-        lam = lambda_euclid_fem(disc, cfg)
-        tor = torsion_euclid_fem(disc, cfg)
-        assert lam.lambda_ == pytest.approx(J01_SQUARED, rel=0.01)
-        assert tor.torsion == pytest.approx(np.pi / 8.0, rel=0.01)
+        r = lambda_euclid_fem(disc, cfg)
+        assert r.lambda_ == pytest.approx(J01_SQUARED, rel=0.01)
+        assert r.torsion == pytest.approx(np.pi / 8.0, rel=0.01)
 
     def test_nested_refinement_is_monotone(self, l_shape):
         mesh = mesh_polygon(l_shape, 0.3)
@@ -203,16 +210,14 @@ class TestEuclidSolver:
         big = Polygon2D(2.0 * unit_square.vertices)
         cfg = SolverConfig(target_h=0.15)
         cfg_big = SolverConfig(target_h=0.3)
-        lam = lambda_euclid_fem(unit_square, cfg).lambda_
-        lam_big = lambda_euclid_fem(big, cfg_big).lambda_
-        assert lam_big == pytest.approx(lam / 4.0, rel=1e-10)
-        tor = torsion_euclid_fem(unit_square, cfg).torsion
-        tor_big = torsion_euclid_fem(big, cfg_big).torsion
-        assert tor_big == pytest.approx(16.0 * tor, rel=1e-10)
+        r = lambda_euclid_fem(unit_square, cfg)
+        r_big = lambda_euclid_fem(big, cfg_big)
+        assert r_big.lambda_ == pytest.approx(r.lambda_ / 4.0, rel=1e-10)
+        assert r_big.torsion == pytest.approx(16.0 * r.torsion, rel=1e-10)
 
     def test_no_interior_nodes(self, unit_square):
         with pytest.raises(SolverError, match="interior"):
-            torsion_euclid_fem(unit_square, SolverConfig(target_h=2.0))
+            lambda_euclid_fem(unit_square, SolverConfig(target_h=2.0))
 
     def test_eigensolver_iteration_cap(self, unit_square, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_ITERS", 2)
@@ -229,8 +234,8 @@ class TestEuclidSolver:
         K, M, f = p1_assemble(mesh)
         Kff, Mff = K[free][:, free].toarray(), M[free][:, free].toarray()
         cfg = SolverConfig(target_h=h)
-        lam = lambda_euclid_fem(rect, cfg).lambda_
-        tor = torsion_euclid_fem(rect, cfg).torsion
+        r = lambda_euclid_fem(rect, cfg)
+        lam, tor = r.lambda_, r.torsion
         assert lam == pytest.approx(scipy.linalg.eigh(Kff, Mff, eigvals_only=True)[0], rel=1e-10)
         assert tor == pytest.approx(f[free] @ np.linalg.solve(Kff, f[free]), rel=1e-12)
 
@@ -246,8 +251,9 @@ class TestSolveQuadratic:
         # B is the identity, so the exact same linear systems are solved
         cfg = SolverConfig(target_h=0.2)
         r = solve_quadratic(unit_square, QuadraticSeminorm(None, [1.0, 1.0]), cfg)
-        assert r.lambda_ == lambda_euclid_fem(unit_square, cfg).lambda_
-        assert r.torsion == torsion_euclid_fem(unit_square, cfg).torsion
+        euclid = lambda_euclid_fem(unit_square, cfg)
+        assert r.lambda_ == euclid.lambda_
+        assert r.torsion == euclid.torsion
         assert (r.lambda_provenance, r.torsion_provenance) == ("fem", "fem")
 
     def test_anisotropic_disc(self):
@@ -332,7 +338,7 @@ class TestAnisotropicSolve:
 
         monkeypatch.setattr(solver, "splu", singular)
         with pytest.raises(SolverError, match="factorization"):
-            torsion_euclid_fem(unit_square, SolverConfig(target_h=0.3))
+            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
 
     def test_arpack_failure_is_solver_error(self, unit_square, monkeypatch):
         def stalled(*args, **kwargs):

@@ -216,9 +216,8 @@ class TestValidation:
     def test_gram_round_trip(self, rng):
         for _ in range(20):
             H = QuadraticSeminorm(random_rotation(rng, 3), rng.uniform(0, 2, size=3))
-            H2 = QuadraticSeminorm.from_gram(H.gram())
             xi = rng.normal(size=3)
-            assert H2.evaluate(xi) == pytest.approx(H.evaluate(xi), abs=1e-10)
+            assert xi @ H.gram() @ xi == pytest.approx(H.evaluate(xi) ** 2, abs=1e-10)
 
 
 class TestMetaAndJson:

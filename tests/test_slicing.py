@@ -48,7 +48,7 @@ class TestSquare:
         assert r.breakpoints_used == 2
 
     def test_result_type(self, unit_square):
-        r = solve_rank1(unit_square, [0.0, 1.0])
+        r = solve_rank1(unit_square, Rank1Seminorm([0.0, 1.0]))
         assert isinstance(r, Spectral)
         assert (r.lambda_provenance, r.torsion_provenance, r.error_estimate) == ("slicing", "slicing", 0.0)
 
