@@ -33,7 +33,7 @@ from .closed_forms import (
 )
 from .errors import DegenerateSeminormError, InputError, MeshError, SolverError
 from .fem import SolverConfig
-from .functional import eval_F, optimize_quadratic, optimize_rank1, q_sweep, verify_bounds
+from .functional import _default_quadratic_cfg, eval_F, optimize_quadratic, optimize_rank1, q_sweep, verify_bounds
 from .geometry import BoxD, Polygon2D, domain_from_json, domain_to_json
 from .seminorms import Rank1Seminorm, seminorm_from_json, seminorm_to_json
 from .slicing import solve_rank1
@@ -134,14 +134,13 @@ def _parse_n_list(spec: str) -> list:
     return ns
 
 
-def _solver_cfg(args) -> SolverConfig | None:
-    """None when no override was given, so optimizers pick their defaults."""
-    h = getattr(args, "h", None)
-    richardson = bool(getattr(args, "richardson", False))
-    if h is None and not richardson:
-        return None
-    base = SolverConfig()
-    return SolverConfig(target_h=base.target_h if h is None else h, richardson=richardson)
+def _solver_cfg(args, default: SolverConfig) -> SolverConfig:
+    """The FEM settings from --h and --richardson; each one not given keeps
+    its value from `default`, the settings the called routine uses unasked."""
+    return SolverConfig(
+        target_h=default.target_h if args.h is None else args.h,
+        richardson=args.richardson or default.richardson,
+    )
 
 
 def _cmd_eval(args) -> tuple:
@@ -149,8 +148,7 @@ def _cmd_eval(args) -> tuple:
     H = seminorm_from_json(_load_json_arg(args.seminorm, "seminorm"))
     if args.format != "json":
         raise InputError("eval reports are JSON only")
-    cfg = _solver_cfg(args) or SolverConfig()
-    fv = eval_F(domain, H, args.q, cfg)
+    fv = eval_F(domain, H, args.q, _solver_cfg(args, SolverConfig()))
     report = {
         "command": "eval",
         "q": fv.q,
@@ -173,7 +171,7 @@ def _cmd_optimize(args) -> tuple:
     if args.seminorm_class == "rank1":
         rep = optimize_rank1(domain, args.q, args.mode)
     else:
-        rep = optimize_quadratic(domain, args.q, args.mode, _solver_cfg(args))
+        rep = optimize_quadratic(domain, args.q, args.mode, _solver_cfg(args, _default_quadratic_cfg(domain)))
     report = {
         "command": "optimize",
         "mode": rep.mode,
@@ -209,7 +207,9 @@ def _sweep_csv(sweep) -> str:
 def _cmd_sweep(args) -> tuple:
     domain = domain_from_json(_load_json_arg(args.domain, "domain"))
     qs = _parse_q_grid(args.q_grid)
-    sweep = q_sweep(domain, qs, args.mode, args.seminorm_class, _solver_cfg(args))
+    # the rank-1 class runs no FEM and ignores the settings
+    cfg = _solver_cfg(args, _default_quadratic_cfg(domain))
+    sweep = q_sweep(domain, qs, args.mode, args.seminorm_class, cfg)
     if args.format == "csv":
         return _sweep_csv(sweep), 0
     report = {
@@ -243,8 +243,7 @@ def _cmd_bounds(args) -> tuple:
     H = seminorm_from_json(_load_json_arg(args.seminorm, "seminorm"))
     if args.format != "json":
         raise InputError("bounds reports are JSON only")
-    cfg = _solver_cfg(args) or SolverConfig()
-    br = verify_bounds(domain, H, cfg)
+    br = verify_bounds(domain, H, _solver_cfg(args, SolverConfig()))
     report = {
         "command": "bounds",
         "measure": br.measure,

@@ -233,12 +233,6 @@ def _ear_clip(V: np.ndarray) -> np.ndarray:
         nxt = np.roll(P, -1, axis=0)
         cr = _cross2(P - prev, nxt - P)
         convex = cr > eps
-        if not np.any(convex):
-            flat = np.abs(cr) <= eps
-            if np.any(flat):
-                idx.pop(int(np.argmax(flat)))
-                continue
-            raise MeshError("no convex corner found; polygon may be non-simple")
         cand = np.nonzero(convex)[0]
         blockers = P[~convex]
         if len(blockers):
@@ -273,18 +267,26 @@ def _ear_clip(V: np.ndarray) -> np.ndarray:
 
 
 class _Refiner:
-    """Longest-edge bisection with LEPP walks until every edge <= target_h."""
+    """Longest-edge bisection with LEPP walks until every edge <= target_h.
+
+    A triangle is never changed, only replaced by its two halves, so its
+    longest edge is found once, when it is made, and a triangle within the
+    target stays within it: each round visits only the triangles made since
+    the previous round began."""
 
     def __init__(self, nodes: np.ndarray, triangles: np.ndarray, target_h: float):
-        self.xy = [tuple(p) for p in nodes]
-        self.tris: dict[int, tuple[int, int, int]] = {i: tuple(t) for i, t in enumerate(triangles)}
-        self.next_tid = len(triangles)
-        self.target = float(target_h)
+        self.xy = nodes.tolist()
+        self.target2 = float(target_h) * float(target_h)
+        P = nodes[triangles]
+        area = 0.5 * float(np.abs(_cross2(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])).sum())
+        self.budget = 64 * (len(triangles) + 16) + int(64.0 * area / self.target2) + 100000
+        # id -> (longest edge's squared length, that edge, triangle); ids only
+        # grow, so the dict's order is id order
+        self.tris: dict[int, tuple] = {}
         self.edge_map: dict[tuple[int, int], list[int]] = {}
-        for tid, t in self.tris.items():
-            for e in self._edges(t):
-                self.edge_map.setdefault(e, []).append(tid)
-        self.midpoint: dict[tuple[int, int], int] = {}
+        self.next_tid = 0
+        for t in triangles.tolist():
+            self._add(tuple(t))
 
     @staticmethod
     def _edges(t):
@@ -295,91 +297,56 @@ class _Refiner:
             (c, a) if c < a else (a, c),
         )
 
-    def _length2(self, e) -> float:
-        p, q = self.xy[e[0]], self.xy[e[1]]
-        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+    def _add(self, t) -> None:
+        def length2(e):
+            p, q = self.xy[e[0]], self.xy[e[1]]
+            return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
-    def _longest_edge(self, t):
+        edges = self._edges(t)
         # lexicographic (length, pair) key makes ties deterministic
-        return max(self._edges(t), key=lambda e: (self._length2(e), e))
-
-    def _neighbor(self, tid, e):
-        for other in self.edge_map[e]:
-            if other != tid:
-                return other
-        return None
+        self.tris[self.next_tid] = max((length2(e), e) for e in edges) + (t,)
+        for e in edges:
+            self.edge_map.setdefault(e, []).append(self.next_tid)
+        self.next_tid += 1
 
     def _split_edge(self, e) -> None:
-        if e in self.midpoint:
-            m = self.midpoint[e]
-        else:
-            p, q = self.xy[e[0]], self.xy[e[1]]
-            m = len(self.xy)
-            self.xy.append(((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0))
-            self.midpoint[e] = m
-        for tid in list(self.edge_map[e]):
-            t = self.tris.pop(tid)
-            a, b, c = t
+        p, q = self.xy[e[0]], self.xy[e[1]]
+        m = len(self.xy)
+        self.xy.append(((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0))
+        for tid in self.edge_map.pop(e):
+            t = self.tris.pop(tid)[2]
+            for f in self._edges(t):
+                if f != e:
+                    self.edge_map[f].remove(tid)
             # rotate so the split edge is (t0, t1), preserving orientation
-            if e == self._edges(t)[1]:
-                a, b, c = b, c, a
-            elif e == self._edges(t)[2]:
-                a, b, c = c, a, b
-            self._remove_from_map(tid, (a, b, c))
+            while t[2] in e:
+                t = (t[1], t[2], t[0])
+            a, b, c = t
             self._add((a, m, c))
             self._add((m, b, c))
 
-    def _remove_from_map(self, tid, t) -> None:
-        for e in self._edges(t):
-            self.edge_map[e].remove(tid)
-            if not self.edge_map[e]:
-                del self.edge_map[e]
-
-    def _add(self, t) -> int:
-        tid = self.next_tid
-        self.next_tid += 1
-        self.tris[tid] = t
-        for e in self._edges(t):
-            self.edge_map.setdefault(e, []).append(tid)
-        return tid
+    def _lepp(self, tid: int) -> None:
+        e = self.tris[tid][1]
+        while True:
+            nb = next((other for other in self.edge_map[e] if other != tid), None)
+            if nb is None or self.tris[nb][1] == e:
+                self._split_edge(e)
+                return
+            tid, e = nb, self.tris[nb][1]
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
-        target2 = self.target * self.target
-        budget = 64 * (len(self.tris) + 16) + int(64.0 * self._total_area() / target2) + 100000
         splits = 0
-        while True:
-            oversized = sorted(
-                tid for tid, t in self.tris.items() if self._length2(self._longest_edge(t)) > target2
-            )
-            if not oversized:
-                break
-            for tid in oversized:
-                while tid in self.tris and self._length2(self._longest_edge(self.tris[tid])) > target2:
-                    splits += self._lepp(tid)
-                    if splits > budget:
+        new = range(self.next_tid)
+        while new:
+            made = self.next_tid
+            for tid in new:
+                while tid in self.tris and self.tris[tid][0] > self.target2:
+                    self._lepp(tid)
+                    splits += 1
+                    if splits > self.budget:
                         raise MeshError("bisection budget exceeded; target_h too small for this polygon")
-        return np.array(self.xy, dtype=float), np.array(
-            [self.tris[tid] for tid in sorted(self.tris)], dtype=np.int64
-        )
-
-    def _lepp(self, tid: int) -> int:
-        t = tid
-        while True:
-            e = self._longest_edge(self.tris[t])
-            nb = self._neighbor(t, e)
-            if nb is None or self._longest_edge(self.tris[nb]) == e:
-                self._split_edge(e)
-                return 1
-            t = nb
-
-    def _total_area(self) -> float:
-        total = 0.0
-        for t in self.tris.values():
-            p0, p1, p2 = (self.xy[i] for i in t)
-            total += abs(
-                (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-            )
-        return 0.5 * total
+            new = range(made, self.next_tid)
+        return np.array(self.xy, dtype=float), np.array([t for _, _, t in self.tris.values()], dtype=np.int64)
 
 
 def mesh_polygon(polygon: Polygon2D, target_h: float) -> TriMesh:

@@ -72,7 +72,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # on the polygon's own mesh, where only the stiffness weights change
 _ALPHA_FLOOR = 5e-3
 _ALPHA_FLOOR_ELLIPSOID = 2.5e-2
-_BOUNDARY_ALPHA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -402,7 +401,7 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     parameter until both updates fall below 1e-4. Tiny alpha is snapped to the
     rank-1 boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids, where the
     stretched eigensolve stops paying for itself), and the boundary flag
-    reports alpha* < 1e-3.
+    reports alpha* = 0.
     """
     domain = _as_planar_domain(domain)
     sign = _check_mode(mode)
@@ -445,7 +444,7 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
         theta=float(best_theta),
         alpha=float(best_alpha),
         value=float(best_val),
-        boundary_flag=bool(best_alpha < _BOUNDARY_ALPHA),
+        boundary_flag=best_alpha == 0.0,
         best=best,
         trace=tuple(trace),
     )

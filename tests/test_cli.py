@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import anisospec
+from anisospec import cli
 from anisospec.cli import _parse_q_grid, canonical_json, main
 from anisospec.errors import InputError
+from anisospec.fem import SolverConfig
 
 SQUARE = '{"kind": "polygon", "vertices": [[0,0],[1,0],[1,1],[0,1]]}'
 DISC = '{"kind": "ellipsoid", "semi_axes": [1, 1]}'
@@ -214,6 +216,52 @@ class TestSweep:
         code, _, err = run_cli(["sweep", "--domain", ELLIPSE])
         assert code == 2
         assert "--q-grid" in err
+
+
+class _Captured(Exception):
+    pass
+
+
+# a flag not given takes its value from the default of the call it feeds:
+# SolverConfig() for eval and bounds, the quadratic optimizer's own default
+# (h = 0.12 on polygons, h = 0.1 with Richardson on ellipsoids) otherwise
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["eval", "--domain", SQUARE, "--seminorm", EUCLID, "--q", "1", "--richardson"], SolverConfig(0.05, True)),
+        (["bounds", "--domain", SQUARE, "--seminorm", EUCLID, "--h", "0.2"], SolverConfig(0.2, False)),
+        (["optimize", "--domain", SQUARE, "--q", "2"], SolverConfig(0.12, False)),
+        (["optimize", "--domain", SQUARE, "--q", "2", "--richardson"], SolverConfig(0.12, True)),
+        (["optimize", "--domain", SQUARE, "--q", "2", "--h", "0.3"], SolverConfig(0.3, False)),
+        (["optimize", "--domain", DISC, "--q", "2", "--h", "0.3"], SolverConfig(0.3, True)),
+        (["optimize", "--domain", DISC, "--q", "2", "--richardson"], SolverConfig(0.1, True)),
+        (["sweep", "--domain", SQUARE, "--q-grid", "1:2:1", "--richardson"], SolverConfig(0.12, True)),
+        (["sweep", "--domain", ELLIPSE, "--q-grid", "1:2:1", "--h", "0.3"], SolverConfig(0.3, True)),
+    ],
+    ids=[
+        "eval-richardson",
+        "bounds-h",
+        "optimize-polygon",
+        "optimize-polygon-richardson",
+        "optimize-polygon-h",
+        "optimize-disc-h",
+        "optimize-disc-richardson",
+        "sweep-polygon-richardson",
+        "sweep-ellipse-h",
+    ],
+)
+def test_solver_flags_fill_from_the_called_default(monkeypatch, argv, expected):
+    seen = []
+
+    def capture(*args):
+        seen.append(args[-1])
+        raise _Captured
+
+    for name in ("eval_F", "verify_bounds", "optimize_quadratic", "q_sweep"):
+        monkeypatch.setattr(cli, name, capture)
+    with pytest.raises(_Captured):
+        main(argv)
+    assert seen == [expected]
 
 
 class TestBounds:

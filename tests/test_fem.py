@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from anisospec.fem import (
     mesh_polygon,
     solve_quadratic,
 )
-from anisospec.fem.meshing import _dist_to_outline, _grid_delaunay
+from anisospec.fem.meshing import _dist_to_outline, _ear_clip, _grid_delaunay, _Refiner
 from anisospec.functional import _family_seminorm, eval_F
 from anisospec.fem import solver
 from anisospec.fem.solver import _Assembly, _solve, p1_assemble
@@ -94,6 +96,41 @@ class TestMeshing:
     def test_not_a_polygon(self):
         with pytest.raises(MeshError):
             mesh_polygon("square", 0.1)
+
+    def test_ear_clip_rejects_clockwise_outline(self):
+        # a clockwise outline has no convex corner, so no ear
+        V = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(MeshError):
+            _ear_clip(V)
+
+    def test_refiner_budget(self, unit_square):
+        V = unit_square.vertices
+        refiner = _Refiner(V, _ear_clip(V), 0.5)
+        # 64 splits per triangle plus 64 per target-sized area, and a floor
+        assert refiner.budget == 64 * (2 + 16) + int(64.0 * 1.0 / 0.25) + 100000
+        refiner.budget = 3
+        with pytest.raises(MeshError, match="bisection budget exceeded"):
+            refiner.run()
+
+    # SHA-256 of the refiner's nodes and triangles on ear-clipped outlines:
+    # the longest-edge bisection must reproduce these meshes bit for bit
+    REFINER_PINS = {
+        ("L", 0.5): "c7e51d0dfc98d255cb3d97b5437875fd0abcbd7cf7052e5caa5ecc25afc7859e",
+        ("L", 0.15): "c6edf4cf37b1d5b06c560a5871322386dcf83e98a674227ecbf833912c93a213",
+        ("pentagon", 0.5): "a3448e43b964dafdae1b9825f7a2d323ff41b704a29953b4ddedd1b2ad075e20",
+        ("pentagon", 0.15): "5edf664a606e21c878ac1236a230021cda20bbd20a034a7e529770caaa2d3ef1",
+        ("12-gon", 0.5): "1c902d9cf8d81f7082e9a7142b926c4ca7cb37f297aa1917371f47bcea5aa81b",
+        ("12-gon", 0.15): "133ccbb40edb218835c88c8d744f3e439145bde5621036b39d7b44edc5d94144",
+    }
+
+    @pytest.mark.parametrize("name, h", sorted(REFINER_PINS))
+    def test_refiner_output_pinned(self, l_shape, name, h):
+        poly = {"L": l_shape, "pentagon": FALLBACK_PENTAGON, "12-gon": regular_polygon(12)}[name]
+        V = poly.vertices
+        nodes, triangles = _Refiner(V, _ear_clip(V), h).run()
+        assert nodes.dtype == np.float64 and triangles.dtype == np.int64
+        digest = hashlib.sha256(nodes.tobytes() + triangles.tobytes()).hexdigest()
+        assert digest == self.REFINER_PINS[name, h]
 
 
 class TestRefined:
