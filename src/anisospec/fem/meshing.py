@@ -299,8 +299,10 @@ class _Refiner:
 
     def _add(self, t) -> None:
         def length2(e):
+            # dx * dx, not dx ** 2, which goes through the C library's pow
             p, q = self.xy[e[0]], self.xy[e[1]]
-            return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+            dx, dy = p[0] - q[0], p[1] - q[1]
+            return dx * dx + dy * dy
 
         edges = self._edges(t)
         # lexicographic (length, pair) key makes ties deterministic

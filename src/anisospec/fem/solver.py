@@ -8,11 +8,11 @@ on the interior nodes (zero Dirichlet data eliminated), serve every Q,
     K_Q = Q11 Kxx + Q12 Kxy + Q22 Kyy     (Kxy the symmetrized cross term).
 
 One sparse LU factorization of K_Q gives the torsion T_H = f^T K_Q^-1 f and
-drives shift-invert Lanczos (ARPACK) for lambda_H = min eig(K_Q, M), started
-from the torsion solution and accepted only when its relative residual is
-at most `_EIG_TOL`. Every solve returns both factors; the Euclidean solver
-is the case Q = I. This is the discrete problem of the Euclidean solve on
-the mapped mesh B Omega with B = diag(1/alpha) R^T:
+drives shift-invert Lanczos (`_lowest`) for lambda_H = min eig(K_Q, M),
+started from the torsion solution and accepted only when its relative
+residual is at most `_EIG_TOL`. Every solve returns both factors; the
+Euclidean solver is the case Q = I. This is the discrete problem of the
+Euclidean solve on the mapped mesh B Omega with B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
 
@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstev
 from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
@@ -44,8 +45,8 @@ __all__ = [
 _EUCLID = np.eye(2)
 # bound on the relative eigen-residual |K y - lambda M y| / (lambda |M y|)
 _EIG_TOL = 1e-8
-# cap on the shift-invert Lanczos iterations, one solve with the LU factors each
-_MAX_ITERS = 20000
+# cap on the shift-invert Lanczos steps, one solve with the LU factors each
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,37 @@ def _levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
 _ASSEMBLIES = Memo(1)
 
 
+def _lowest(K, M, lu, u):
+    """(lambda, y, M y), the lowest eigenpair of K y = lambda M y, by Lanczos
+    on K^-1 M (self-adjoint in the M inner product) from u. A step is one LU
+    solve and one product with M; keeping M V beside the basis V lets two
+    classical Gram-Schmidt passes reorthogonalize fully at no extra product.
+    The top Ritz pair's true residual is tested once |beta_k s_k| is small."""
+    m = min(len(u), _MAX_STEPS)
+    V, MV, alpha, beta = np.empty((m, len(u))), np.empty((m, len(u))), np.zeros(m), np.zeros(m)
+    w, Mw = u, M @ u
+    b = np.sqrt(w @ Mw)
+    for k in range(m):
+        V[k], MV[k] = w / b, Mw / b
+        w = lu.solve(MV[k])
+        for _ in range(2):
+            c = MV[: k + 1] @ w
+            w -= c @ V[: k + 1]
+            alpha[k] += c[k]
+        Mw = M @ w
+        b = beta[k] = np.sqrt(w @ Mw)
+        # LAPACK tridiagonal eigensolver; its wrapper takes max(k, 1) off-diagonals
+        theta, s, info = dstev(alpha[: k + 1], beta[: max(k, 1)])
+        if info or not np.isfinite(b):
+            raise SolverError(f"shift-invert Lanczos failed at step {k + 1} (beta {b}, dstev info {info})")
+        lam, s = 1.0 / float(theta[-1]), s[:, -1]
+        if abs(b * s[-1]) * lam <= _EIG_TOL:
+            y, My = s @ V[: k + 1], s @ MV[: k + 1]
+            if np.linalg.norm(K @ y - lam * My) <= _EIG_TOL * lam * np.linalg.norm(My):
+                return lam, y, My
+    raise SolverError(f"shift-invert Lanczos did not converge in {m} steps")
+
+
 def _solve(a: _Assembly, Q):
     """(lambda, torsion) for the form with Gram matrix Q from one sparse LU
     factorization of K_Q."""
@@ -169,39 +201,7 @@ def _solve(a: _Assembly, Q):
     torsion = float(a.f @ u)
     if not np.isfinite(torsion):
         raise SolverError("torsion solve produced a non-finite value")
-    n = len(a.f)
-    if n == 1:
-        # eigsh needs two unknowns; one interior node is its own eigenpair
-        lam, y = float(K[0, 0] / a.M[0, 0]), np.ones(1)
-    else:
-        steps = 0
-
-        def apply_inverse(x):
-            nonlocal steps
-            steps += 1
-            if steps > _MAX_ITERS:
-                raise SolverError(f"shift-invert Lanczos did not converge in {_MAX_ITERS} iterations")
-            return lu.solve(x)
-
-        # shift-invert at 0 iterates with K_Q^-1 M from the torsion solution,
-        # a positive start close to the ground state. ARPACK tests its Ritz
-        # estimate on that operator, so it runs 100x tighter than _EIG_TOL to
-        # leave the residual checked below well inside it.
-        try:
-            vals, vecs = eigsh(
-                K,
-                k=1,
-                M=a.M,
-                sigma=0.0,
-                OPinv=LinearOperator((n, n), matvec=apply_inverse, dtype=float),
-                v0=u,
-                ncv=min(n, 10),  # extracting the Ritz vector costs more with a longer basis
-                tol=0.01 * _EIG_TOL,
-            )
-        except ArpackError as exc:
-            raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
-        lam, y = float(vals[0]), vecs[:, 0]
-    My = a.M @ y
+    lam, y, My = _lowest(K, a.M, lu, u)
     residual = float(np.linalg.norm(K @ y - lam * My) / (lam * np.linalg.norm(My)))
     if not residual <= _EIG_TOL:
         raise SolverError(f"eigen-residual {residual:.3e} exceeds the bound {_EIG_TOL:.1e}")

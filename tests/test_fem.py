@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from anisospec import Polygon2D, QuadraticSeminorm, regular_polygon
 from anisospec.errors import DegenerateSeminormError, InvalidSeminormError, MeshError, SolverError
@@ -257,7 +256,7 @@ class TestEuclidSolver:
             lambda_euclid_fem(unit_square, SolverConfig(target_h=2.0))
 
     def test_eigensolver_iteration_cap(self, unit_square, monkeypatch):
-        monkeypatch.setattr(solver, "_MAX_ITERS", 2)
+        monkeypatch.setattr(solver, "_MAX_STEPS", 2)
         with pytest.raises(SolverError, match="did not converge"):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
 
@@ -377,21 +376,50 @@ class TestAnisotropicSolve:
         with pytest.raises(SolverError, match="factorization"):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
 
-    def test_arpack_failure_is_solver_error(self, unit_square, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+    def test_lanczos_failure_is_solver_error(self, unit_square, monkeypatch):
+        # the torsion solve succeeds; every Lanczos solve returns NaN
+        splu = solver.splu
 
-        monkeypatch.setattr(solver, "eigsh", stalled)
+        class Poisoned:
+            def __init__(self, *args, **kwargs):
+                self.lu, self.calls = splu(*args, **kwargs), 0
+
+            def solve(self, b):
+                self.calls += 1
+                return self.lu.solve(b) if self.calls == 1 else np.full_like(b, np.nan)
+
+        monkeypatch.setattr(solver, "splu", Poisoned)
         with pytest.raises(SolverError, match="Lanczos"):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
 
     def test_residual_miss_is_solver_error(self, unit_square, monkeypatch):
-        eigsh = solver.eigsh
+        lowest = solver._lowest
 
-        def off(*args, **kwargs):
-            vals, vecs = eigsh(*args, **kwargs)
-            return vals * (1.0 + 1e-6), vecs
+        def off(*args):
+            lam, y, My = lowest(*args)
+            return lam * (1.0 + 1e-6), y, My
 
-        monkeypatch.setattr(solver, "eigsh", off)
+        monkeypatch.setattr(solver, "_lowest", off)
         with pytest.raises(SolverError, match="residual"):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
+
+    def test_matches_dense_eigh_over_the_family(self):
+        # a quad-polygon-size mesh (area 0.5, h = 0.12) over a 36 x 20 grid
+        # of (theta, alpha), against scipy's dense generalized eigh
+        star = random_star_polygon(np.random.default_rng(11), 7)
+        a = _Assembly.of(mesh_polygon(Polygon2D(star.vertices * np.sqrt(0.5 / star.area)), 0.12))
+        assert 50 <= len(a.f) <= 80
+        M = a.M.toarray()
+        worst = 0.0
+        for theta in np.linspace(0.0, np.pi, 36, endpoint=False):
+            for alpha in np.geomspace(0.005, 1.0, 20):
+                Q = _family_seminorm(theta, alpha).gram()
+                dense = scipy.linalg.eigh(a.stiffness(Q).toarray(), M, eigvals_only=True)[0]
+                worst = max(worst, abs(_solve(a, Q)[0] / dense - 1.0))
+        assert worst <= 1e-10
+
+    def test_matches_dense_eigh_on_a_thin_l_shape(self, l_shape):
+        a = _Assembly.of(mesh_polygon(l_shape, 0.05))
+        Q = _family_seminorm(0.0, 1e-4).gram()
+        dense = scipy.linalg.eigh(a.stiffness(Q).toarray(), a.M.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert _solve(a, Q)[0] == pytest.approx(dense, rel=1e-10)
