@@ -114,15 +114,14 @@ def _edge_keys(T: np.ndarray, n: int) -> np.ndarray:
 
 def _sample_boundary(V: np.ndarray, spacing: float) -> np.ndarray:
     """Points along the outline, in order, at most `spacing` apart."""
-    pts = []
-    n = len(V)
-    for i in range(n):
-        p = V[i]
-        q = V[(i + 1) % n]
-        seg = max(1, int(np.ceil(np.linalg.norm(q - p) / spacing)))
-        t = (np.arange(seg) / seg)[:, None]
-        pts.append(p[None] * (1.0 - t) + q[None] * t)
-    return np.concatenate(pts)
+    Q = np.roll(V, -1, axis=0)
+    D = Q - V
+    # per-edge dot products, as np.linalg.norm(q - p) takes them: BLAS may fuse a multiply-add
+    length = np.sqrt((D[:, None] @ D[:, :, None]).ravel())
+    seg = np.maximum(1, np.ceil(length / spacing).astype(np.int64))
+    edge = np.repeat(np.arange(len(V)), seg)
+    t = ((np.arange(len(edge)) - (np.cumsum(seg) - seg)[edge]) / seg[edge])[:, None]
+    return V[edge] * (1.0 - t) + Q[edge] * t
 
 
 def _hex_grid(V: np.ndarray, s: float) -> np.ndarray:
@@ -135,41 +134,44 @@ def _hex_grid(V: np.ndarray, s: float) -> np.ndarray:
         return np.empty((0, 2))
     rows = []
     for k, y in enumerate(ys):
-        x0 = xmin + (s / 2.0 if k % 2 else s)
-        xs = np.arange(x0, xmax, s)
+        xs = np.arange(xmin + (s / 2.0 if k % 2 else s), xmax, s)
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
-    return np.concatenate(rows) if rows else np.empty((0, 2))
+    return np.concatenate(rows)
+
+
+def _blocks(n_points: int, n_edges: int):
+    """Point slices of about 64k point-edge pairs: temporaries near 0.5 MB each."""
+    step = max(1, 65536 // n_edges)
+    return (slice(lo, lo + step) for lo in range(0, n_points, step))
 
 
 def _dist_to_outline(points: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Distance from each point to the polygon outline (min over edges)."""
-    P = V
-    D = np.roll(V, -1, axis=0) - V
-    L2 = np.maximum(np.sum(D * D, axis=1), 1e-300)
+    Dx, Dy = (np.roll(V, -1, axis=0) - V).T
+    L2 = np.maximum(Dx * Dx + Dy * Dy, 1e-300)
     out = np.empty(len(points))
-    # blocks of about 64k point-edge pairs keep the temporaries near 1 MB each
-    step = max(1, 65536 // len(V))
-    for lo in range(0, len(points), step):
-        blk = points[lo : lo + step]
-        rel = blk[:, None, :] - P[None]
-        t = np.clip(np.einsum("mnd,nd->mn", rel, D) / L2, 0.0, 1.0)
-        gap = rel - t[..., None] * D[None]
-        out[lo : lo + step] = np.sqrt(np.sum(gap * gap, axis=2)).min(axis=1)
+    for blk in _blocks(len(points), len(V)):
+        gx, gy = points[blk, :1] - V[:, 0], points[blk, 1:] - V[:, 1]
+        t = np.clip((gx * Dx + gy * Dy) / L2, 0.0, 1.0)
+        # in place: each (points x edges) temporary costs more than its arithmetic
+        gx -= t * Dx
+        gy -= t * Dy
+        # sqrt is monotone and correctly rounded, so this is the min of the gaps
+        out[blk] = np.sqrt((gx * gx + gy * gy).min(axis=1))
     return out
 
 
 def _points_in_polygon(points: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Crossing-number test; points near the outline should be prefiltered."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
-    n = len(V)
-    for i in range(n):
-        xi, yi = V[i]
-        xj, yj = V[i - 1]
-        cond = (yi > y) != (yj > y)
+    """Crossing-number test. A point within rounding of the outline may land on
+    either side; the protect band or the area-tiling check catches it."""
+    xi, yi = V[:, 0], V[:, 1]
+    xj, yj = np.roll(xi, 1), np.roll(yi, 1)
+    inside = np.empty(len(points), dtype=bool)
+    for blk in _blocks(len(points), len(V)):
+        x, y = points[blk, :1], points[blk, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             cross_x = (xj - xi) * (y - yi) / (yj - yi) + xi
-        inside ^= cond & (x < cross_x)
+        inside[blk] = np.count_nonzero(((yi > y) != (yj > y)) & (x < cross_x), axis=1) % 2 == 1
     return inside
 
 
@@ -181,11 +183,9 @@ def _grid_delaunay(polygon: Polygon2D, target_h: float):
     seg = np.linalg.norm(np.roll(boundary, -1, axis=0) - boundary, axis=1)
     protect = 0.55 * seg.max()
     cand = _hex_grid(V, 0.95 * target_h)
-    if len(cand):
-        cand = cand[_points_in_polygon(cand, V)]
-    if len(cand):
-        cand = cand[_dist_to_outline(cand, V) >= protect]
-    pts = np.vstack([boundary, cand]) if len(cand) else boundary
+    cand = cand[_points_in_polygon(cand, V)]
+    cand = cand[_dist_to_outline(cand, V) >= protect]
+    pts = np.vstack([boundary, cand])
     if len(pts) < 3:
         return None
     try:

@@ -71,3 +71,54 @@ def point_in_polygon(poly: Polygon2D, pts: np.ndarray) -> np.ndarray:
         xint = px + (y - py) * (qx - px) / (qy - py)
     hits = cond & (x < xint)
     return np.sum(hits, axis=1) % 2 == 1
+
+
+# Per-edge loop versions of the mesher's outline kernels (fem.meshing's
+# _sample_boundary, _dist_to_outline and _points_in_polygon, as they were
+# before those were vectorized). The vectorized kernels must match them bit
+# for bit, so they also serve as an outline oracle independent of the code
+# under test.
+
+
+def loop_sample_boundary(V: np.ndarray, spacing: float) -> np.ndarray:
+    """Points along the outline, in order, at most `spacing` apart."""
+    pts = []
+    n = len(V)
+    for i in range(n):
+        p = V[i]
+        q = V[(i + 1) % n]
+        seg = max(1, int(np.ceil(np.linalg.norm(q - p) / spacing)))
+        t = (np.arange(seg) / seg)[:, None]
+        pts.append(p[None] * (1.0 - t) + q[None] * t)
+    return np.concatenate(pts)
+
+
+def loop_dist_to_outline(points: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Distance from each point to the polygon outline (min over edges)."""
+    P = V
+    D = np.roll(V, -1, axis=0) - V
+    L2 = np.maximum(np.sum(D * D, axis=1), 1e-300)
+    out = np.empty(len(points))
+    step = max(1, 65536 // len(V))
+    for lo in range(0, len(points), step):
+        blk = points[lo : lo + step]
+        rel = blk[:, None, :] - P[None]
+        t = np.clip(np.einsum("mnd,nd->mn", rel, D) / L2, 0.0, 1.0)
+        gap = rel - t[..., None] * D[None]
+        out[lo : lo + step] = np.sqrt(np.sum(gap * gap, axis=2)).min(axis=1)
+    return out
+
+
+def loop_points_in_polygon(points: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Crossing-number test, one outline edge at a time."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    n = len(V)
+    for i in range(n):
+        xi, yi = V[i]
+        xj, yj = V[i - 1]
+        cond = (yi > y) != (yj > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross_x = (xj - xi) * (y - yi) / (yj - yi) + xi
+        inside ^= cond & (x < cross_x)
+    return inside

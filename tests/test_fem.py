@@ -13,11 +13,11 @@ from anisospec.fem import (
     mesh_polygon,
     solve_quadratic,
 )
-from anisospec.fem.meshing import _dist_to_outline, _ear_clip, _grid_delaunay, _Refiner
+from anisospec.fem.meshing import _ear_clip, _grid_delaunay, _Refiner
 from anisospec.functional import _family_seminorm, eval_F
 from anisospec.fem import solver
 from anisospec.fem.solver import _Assembly, _solve, p1_assemble
-from conftest import random_star_polygon
+from conftest import loop_dist_to_outline, random_star_polygon
 
 J01_SQUARED = 5.783185962946785
 TORSION_SQUARE = 0.03514425373904369
@@ -72,7 +72,7 @@ class TestMeshing:
     def test_boundary_flags_sit_on_outline(self, l_shape):
         for poly, target in ((l_shape, 0.2), (FALLBACK_PENTAGON, 0.5)):
             mesh = mesh_polygon(poly, target)
-            d = _dist_to_outline(mesh.nodes, poly.vertices)
+            d = loop_dist_to_outline(mesh.nodes, poly.vertices)
             on = d <= 1e-9
             flagged = np.zeros(mesh.n_nodes, dtype=bool)
             flagged[mesh.boundary_nodes] = True
@@ -146,7 +146,7 @@ class TestRefined:
     def test_boundary_grows_consistently(self, unit_square):
         mesh = mesh_polygon(unit_square, 0.5)
         fine = mesh.refined()
-        d = _dist_to_outline(fine.nodes[fine.boundary_nodes], unit_square.vertices)
+        d = loop_dist_to_outline(fine.nodes[fine.boundary_nodes], unit_square.vertices)
         assert d.max() <= 1e-12
 
 
@@ -262,7 +262,7 @@ class TestEuclidSolver:
 
     @pytest.mark.parametrize("width, h, n_free", [(1.0, 0.8, 1), (1.5, 0.75, 2), (2.0, 0.9, 3)])
     def test_few_interior_nodes(self, width, h, n_free):
-        # Lanczos needs two unknowns; one interior node is its own eigenpair
+        # the smallest systems; at n = 1 one Lanczos step is already the eigenpair
         rect = Polygon2D([(0.0, 0.0), (width, 0.0), (width, 1.0), (0.0, 1.0)])
         mesh = mesh_polygon(rect, h)
         free = mesh.interior_nodes()
