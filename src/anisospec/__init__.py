@@ -1,5 +1,10 @@
 """Anisotropic Dirichlet eigenvalues, torsional rigidity, and shape
-functionals over seminorm classes on planar domains."""
+functionals over seminorm classes on planar domains.
+
+The FEM names (`TriMesh`, `lambda_euclid_fem`, `mesh_polygon`,
+`solve_quadratic`) resolve on first access, so that importing the package
+loads no SciPy: the exact routes need none.
+"""
 
 from .closed_forms import (
     kj_sequence_value,
@@ -24,13 +29,6 @@ from .errors import (
     SingularMapError,
     SolverError,
     UnsupportedError,
-)
-from .fem import (
-    SolverConfig,
-    TriMesh,
-    lambda_euclid_fem,
-    mesh_polygon,
-    solve_quadratic,
 )
 from .functional import (
     BoundCheck,
@@ -68,6 +66,7 @@ from .geometry import (
 from .seminorms import (
     QuadraticSeminorm,
     Rank1Seminorm,
+    SolverConfig,
     Spectral,
     seminorm_from_json,
     seminorm_to_json,
@@ -75,6 +74,16 @@ from .seminorms import (
 from .slicing import solve_rank1
 
 __version__ = "0.1.0"
+
+_FEM_NAMES = ("TriMesh", "lambda_euclid_fem", "mesh_polygon", "solve_quadratic")
+
+
+def __getattr__(name):
+    if name in _FEM_NAMES:
+        from . import fem
+
+        return getattr(fem, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AnisoSpecError",

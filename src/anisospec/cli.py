@@ -32,10 +32,9 @@ from .closed_forms import (
     torsion_rank1_ellipsoid,
 )
 from .errors import DegenerateSeminormError, InputError, MeshError, SolverError
-from .fem import SolverConfig
 from .functional import _default_quadratic_cfg, eval_F, optimize_quadratic, optimize_rank1, q_sweep, verify_bounds
 from .geometry import BoxD, Polygon2D, domain_from_json, domain_to_json
-from .seminorms import Rank1Seminorm, seminorm_from_json, seminorm_to_json
+from .seminorms import Rank1Seminorm, SolverConfig, seminorm_from_json, seminorm_to_json
 from .slicing import solve_rank1
 
 __all__ = ["main", "canonical_json"]
@@ -101,6 +100,10 @@ def _load_json_arg(text: str, label: str) -> dict:
     return json.loads(raw)
 
 
+# each exponent of a sweep is a full optimization
+_MAX_Q_GRID = 10_000
+
+
 def _parse_q_grid(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -114,13 +117,16 @@ def _parse_q_grid(spec: str) -> list:
     if step <= 0 or b < a:
         raise InputError("q grid needs step > 0 and b >= a")
     qs = []
-    i = 0
     while True:
-        v = a + i * step
+        v = a + len(qs) * step
         if v > b + 1e-12 * max(1.0, abs(b)):
             break
+        # a step far below the float spacing at a never moves a + i*step off a
+        if qs and v <= qs[-1]:
+            raise InputError("q grid step is too small to change the exponent")
+        if len(qs) == _MAX_Q_GRID:
+            raise InputError(f"q grid has more than {_MAX_Q_GRID} exponents")
         qs.append(v)
-        i += 1
     return qs
 
 

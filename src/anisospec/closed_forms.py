@@ -2,7 +2,8 @@
 
 These serve both as fast paths for the evaluator and as oracles for the
 numeric solvers. Everything here is closed-form arithmetic; the only special
-function used is the first zero of the Bessel function J0 (disc eigenvalue).
+function value used is the first zero of the Bessel function J0 (disc
+eigenvalue), kept as a literal so that importing this module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jn_zeros
 
 from .errors import DegenerateSeminormError, InvalidDomainError, InvalidSeminormError, UnsupportedError
 from .geometry import BoxD, Direction, unit_ball_volume
@@ -29,6 +29,10 @@ __all__ = [
     "torsion_rank1_ellipsoid",
     "unit_ball_volume",
 ]
+
+# first zero of J0: the float scipy.special.jn_zeros(0, 1)[0] returns, bit for
+# bit (0x1.33d152e971b3fp+1)
+_J01 = 2.4048255576957724
 
 
 def _axes(a) -> np.ndarray:
@@ -59,7 +63,7 @@ def lambda_euclid_ball(d: int) -> float:
     if d == 1:
         return math.pi**2 / 4.0
     if d == 2:
-        return float(jn_zeros(0, 1)[0]) ** 2
+        return _J01**2
     raise UnsupportedError(f"ball eigenvalue implemented only for d in (1, 2), got d={d}")
 
 

@@ -33,7 +33,7 @@ from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py w
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
 from ..geometry import Polygon2D, _cross2
 from ..memo import Memo
-from ..seminorms import QuadraticSeminorm, Spectral
+from ..seminorms import QuadraticSeminorm, SolverConfig, Spectral
 from .meshing import TriMesh, mesh_polygon
 
 __all__ = [
@@ -47,19 +47,6 @@ _EUCLID = np.eye(2)
 _EIG_TOL = 1e-8
 # cap on the shift-invert Lanczos steps, one solve with the LU factors each
 _MAX_STEPS = 200
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Discretization controls for the FEM solvers: the target mesh size and
-    whether to extrapolate from a nested mesh pair (Richardson)."""
-
-    target_h: float = 0.05
-    richardson: bool = False
-
-    def __post_init__(self):
-        if not (self.target_h > 0):
-            raise ValueError("target_h must be positive")
 
 
 def _local_matrices(mesh: TriMesh):

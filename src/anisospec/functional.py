@@ -38,7 +38,6 @@ from .errors import (
     InvalidSeminormError,
     UnsupportedError,
 )
-from .fem import SolverConfig, lambda_euclid_fem, solve_quadratic
 from .geometry import (
     BoxD,
     EllipsoidD,
@@ -48,7 +47,7 @@ from .geometry import (
     measure,
 )
 from .memo import Memo
-from .seminorms import QuadraticSeminorm, Rank1Seminorm, Seminorm, Spectral
+from .seminorms import QuadraticSeminorm, Rank1Seminorm, Seminorm, SolverConfig, Spectral
 from .slicing import solve_rank1
 
 __all__ = [
@@ -170,6 +169,8 @@ def _seminorm_key(H):
 def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
     """Euclidean eigenvalue of the ellipse with semi-axes (ratio, 1) via FEM
     on an inscribed polygon; memoized because optimizer sweeps revisit ratios."""
+    from .fem import lambda_euclid_fem  # the FEM layer (and SciPy) loads on first use
+
     # scale h with sqrt(ratio) so the element count stays roughly constant
     local = replace(cfg, target_h=cfg.target_h * math.sqrt(ratio))
     # 1e-9 key granularity: ratios reached through different scalings of the
@@ -244,7 +245,11 @@ def _route(domain, H, cfg: SolverConfig) -> Spectral:
 
     rank1 = isinstance(H, Rank1Seminorm)
     if isinstance(domain, Polygon2D):
-        return solve_rank1(domain, H) if rank1 else solve_quadratic(domain, H, cfg)
+        if rank1:
+            return solve_rank1(domain, H)
+        from .fem import solve_quadratic  # the FEM layer (and SciPy) loads on first use
+
+        return solve_quadratic(domain, H, cfg)
     if isinstance(domain, EllipsoidD):
         return _rank1_ellipsoid(domain, H) if rank1 else _quadratic_ellipsoid(domain, H, cfg)
     if rank1:

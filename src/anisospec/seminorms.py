@@ -3,7 +3,8 @@
 A rank-1 seminorm is H(x) = |<x, eta>|; a quadratic seminorm is
 H(x) = |diag(alphas) R^T x| for an orthogonal R and nonnegative alphas.
 Both are immutable; every operation returns a new object. `Spectral` is the
-record every route returns for one (domain, seminorm) pair.
+record every route returns for one (domain, seminorm) pair, and
+`SolverConfig` the FEM settings a route takes.
 """
 
 from __future__ import annotations
@@ -182,6 +183,19 @@ class Spectral:
     error_estimate: float = 0.0
     h_used: float = 0.0
     breakpoints_used: int = 0
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Discretization controls for the FEM solvers: the target mesh size and
+    whether to extrapolate from a nested mesh pair (Richardson)."""
+
+    target_h: float = 0.05
+    richardson: bool = False
+
+    def __post_init__(self):
+        if not (self.target_h > 0):
+            raise ValueError("target_h must be positive")
 
 
 def seminorm_from_json(obj):

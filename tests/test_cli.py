@@ -12,10 +12,9 @@ from pathlib import Path
 import pytest
 
 import anisospec
-from anisospec import cli
+from anisospec import SolverConfig, cli
 from anisospec.cli import _parse_q_grid, canonical_json, main
 from anisospec.errors import InputError
-from anisospec.fem import SolverConfig
 
 SQUARE = '{"kind": "polygon", "vertices": [[0,0],[1,0],[1,1],[0,1]]}'
 DISC = '{"kind": "ellipsoid", "semi_axes": [1, 1]}'
@@ -58,6 +57,16 @@ class TestParseQGrid:
         for bad in ("1:2", "1:2:0", "2:1:0.5", "a:b:c", "1:2:-1"):
             with pytest.raises(InputError):
                 _parse_q_grid(bad)
+
+    def test_rejects_step_that_never_advances(self):
+        # 1 + 1e-300 == 1: without the check the grid repeats 1.0 until memory runs out
+        with pytest.raises(InputError, match="too small"):
+            _parse_q_grid("1:1e308:1e-300")
+
+    def test_caps_the_number_of_exponents(self):
+        assert len(_parse_q_grid("1:10000:1")) == 10_000
+        with pytest.raises(InputError, match="more than 10000"):
+            _parse_q_grid("1:10001:1")
 
 
 class TestEval:
@@ -428,6 +437,47 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 20
+
+
+# exact-route subcommands load no SciPy; a quadratic polygon eval loads the
+# FEM layer on first use, and the lazy package names are the FEM objects
+COLD_IMPORT = """
+import io, sys
+from contextlib import redirect_stdout
+from anisospec.cli import main
+
+hexagon = '{"kind": "polygon", "vertices": [[1,0],[0.5,0.9],[-0.5,0.9],[-1,0],[-0.5,-0.9],[0.5,-0.9]]}'
+rank1 = '{"kind": "rank1", "eta": [0.6, 0.8]}'
+quadratic = '{"kind": "quadratic", "alphas": [1, 0.5]}'
+exact = [
+    ["eval", "--domain", hexagon, "--seminorm", rank1, "--q", "1.5"],
+    ["optimize", "--domain", hexagon, "--class", "rank1", "--q", "1.5", "--mode", "min"],
+    ["bounds", "--domain", hexagon, "--seminorm", rank1],
+    ["reproduce"],
+    ["kj-demo", "--q", "0.5", "--n", "1,5,20"],
+]
+for argv in exact:
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, (argv[0], loaded[:5])
+    assert "anisospec.fem" not in sys.modules, argv[0]
+with redirect_stdout(io.StringIO()):
+    assert main(["eval", "--domain", hexagon, "--seminorm", quadratic, "--q", "1", "--h", "0.3"]) == 0
+assert "anisospec.fem.solver" in sys.modules and "scipy.sparse" in sys.modules
+
+import anisospec, anisospec.fem
+for name in ("TriMesh", "lambda_euclid_fem", "mesh_polygon", "solve_quadratic", "SolverConfig"):
+    assert getattr(anisospec, name) is getattr(anisospec.fem, name), name
+"""
+
+
+def test_exact_routes_load_no_scipy():
+    src = str(Path(anisospec.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # stdout of commands whose every number comes from an exact route (closed

@@ -11,6 +11,7 @@ from anisospec import (
     unit_ball_volume,
 )
 from anisospec.closed_forms import (
+    _J01,
     kj_sequence_value,
     lambda_euclid_ball,
     lambda_quadratic_ball_bound,
@@ -53,6 +54,13 @@ class TestDiscEigenvalueOracle:
         root = 0.5 * (lo + hi)
         assert root**2 == pytest.approx(J01_SQUARED, abs=1e-12)
         assert lambda_euclid_ball(2) == pytest.approx(J01_SQUARED, abs=1e-12)
+
+    def test_j01_literal_is_scipy_root(self):
+        # closed_forms keeps the root as a literal so that importing it loads no SciPy
+        from scipy.special import jn_zeros
+
+        assert _J01 == float(jn_zeros(0, 1)[0])
+        assert lambda_euclid_ball(2) == 5.783185962946783
 
     def test_interval(self):
         assert lambda_euclid_ball(1) == pytest.approx(math.pi**2 / 4.0, abs=1e-15)
