@@ -9,7 +9,6 @@ loads no SciPy: the exact routes need none.
 from .closed_forms import (
     kj_sequence_value,
     lambda_euclid_ball,
-    lambda_quadratic_ball_bound,
     lambda_rank1_ellipsoid,
     m_tilde_q_ellipsoid,
     q_threshold_ellipsoid,
@@ -48,19 +47,13 @@ from .geometry import (
     EllipsoidD,
     Polygon2D,
     SlabDecomposition,
-    SliceSet,
-    directional_width,
     domain_from_json,
     domain_to_json,
     ellipse_polygon,
     is_centrally_symmetric,
-    linear_image,
     measure,
-    regular_polygon,
     rotation_to_vertical,
-    slab_breakpoints,
     slab_decomposition,
-    slice_polygon,
     unit_ball_volume,
 )
 from .seminorms import (
@@ -105,13 +98,11 @@ __all__ = [
     "Rank1Seminorm",
     "SingularMapError",
     "SlabDecomposition",
-    "SliceSet",
     "SolverConfig",
     "SolverError",
     "Spectral",
     "TriMesh",
     "UnsupportedError",
-    "directional_width",
     "domain_from_json",
     "domain_to_json",
     "ellipse_polygon",
@@ -120,9 +111,7 @@ __all__ = [
     "kj_sequence_value",
     "lambda_euclid_ball",
     "lambda_euclid_fem",
-    "lambda_quadratic_ball_bound",
     "lambda_rank1_ellipsoid",
-    "linear_image",
     "m_tilde_q_ellipsoid",
     "measure",
     "mesh_polygon",
@@ -131,13 +120,10 @@ __all__ = [
     "q_sweep",
     "q_threshold_ellipsoid",
     "rank1_box",
-    "regular_polygon",
     "rotation_to_vertical",
     "seminorm_from_json",
     "seminorm_to_json",
-    "slab_breakpoints",
     "slab_decomposition",
-    "slice_polygon",
     "solve_quadratic",
     "solve_rank1",
     "t_max_ellipsoid",

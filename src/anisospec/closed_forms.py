@@ -12,13 +12,12 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSeminormError, InvalidDomainError, InvalidSeminormError, UnsupportedError
+from .errors import DegenerateSeminormError, InputError, InvalidDomainError, InvalidSeminormError, UnsupportedError
 from .geometry import BoxD, Direction, unit_ball_volume
 
 __all__ = [
     "kj_sequence_value",
     "lambda_euclid_ball",
-    "lambda_quadratic_ball_bound",
     "lambda_rank1_ellipsoid",
     "m_tilde_q_ellipsoid",
     "q_threshold_ellipsoid",
@@ -130,20 +129,6 @@ def torsion_quadratic_ball(alphas) -> float:
     return unit_ball_volume(d) / (d + 2.0) / s
 
 
-def lambda_quadratic_ball_bound(alphas) -> float:
-    """Upper bound on the ball eigenvalue for a quadratic seminorm:
-    lambda_H(B^d) <= mean(alpha_i^2) * lambda(B^d). Returns 0 for the zero
-    seminorm."""
-    a = np.asarray(np.atleast_1d(alphas), dtype=float)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise InvalidSeminormError("alphas must be nonnegative and finite")
-    d = a.size
-    s = float(np.sum(a**2))
-    if s == 0.0:
-        return 0.0
-    return s / d * lambda_euclid_ball(d)
-
-
 def m_tilde_q_ellipsoid(a, q: float) -> tuple[float, Direction]:
     """Minimum of lambda_H * T_H^q over unit-norm rank-1 seminorms on the
     axis-aligned ellipsoid with semi-axes a, valid for q <= 1.
@@ -198,6 +183,8 @@ def kj_sequence_value(d: int, k: int, q: float, n: int) -> float:
         raise InvalidSeminormError(f"k must lie in 1..{d - 1}")
     if q >= 1.0:
         raise UnsupportedError("branch out of scope")
+    if not math.isfinite(q):
+        raise InputError("q must be finite")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidDomainError("n must be a positive integer")
     lam_ball = lambda_euclid_ball(int(k))

@@ -58,14 +58,6 @@ class TriMesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
-    def areas(self) -> np.ndarray:
-        P = self.nodes[self.triangles]
-        return 0.5 * _cross2(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
-
     def interior_nodes(self) -> np.ndarray:
         mask = np.ones(self.n_nodes, dtype=bool)
         mask[self.boundary_nodes] = False

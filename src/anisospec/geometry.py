@@ -5,10 +5,9 @@ Conventions:
 
 * ``Polygon2D`` vertices are counter-clockwise, simple, first vertex not
   repeated.
-* Directional operations (``slice_polygon``, ``slab_breakpoints``,
-  ``slab_decomposition``, ``directional_width``) rotate the plane so the
-  requested direction maps to the second coordinate axis; offsets are measured
-  along the first axis of the rotated frame.
+* ``slab_decomposition`` rotates the plane so the requested direction maps
+  to the second coordinate axis; offsets are measured along the first axis of
+  the rotated frame.
 * Geometric tolerances are ``GEOM_TOL = 1e-12``, absolute or scaled with the
   coordinate magnitude where noted.
 """
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvalidDomainError, SingularMapError, UnsupportedError
+from .errors import InputError, InvalidDomainError, UnsupportedError
 
 GEOM_TOL = 1e-12
 
@@ -54,14 +53,6 @@ class Direction:
             raise InvalidDomainError(f"direction must have unit norm, got |v| = {n!r}")
         v.flags.writeable = False
         self.vector = v
-
-    @classmethod
-    def normalized(cls, vector) -> "Direction":
-        v = np.asarray(vector, dtype=float)
-        n = float(np.linalg.norm(v))
-        if n == 0.0 or not math.isfinite(n):
-            raise InvalidDomainError("cannot normalize a zero or non-finite vector")
-        return cls(v / n)
 
     @property
     def dimension(self) -> int:
@@ -169,11 +160,6 @@ class Polygon2D:
 
     def __repr__(self):
         return f"Polygon2D(<{self.n_vertices} vertices>, area={self.area:.6g})"
-
-
-def regular_polygon(n: int) -> Polygon2D:
-    """Regular n-gon inscribed in the unit circle, a vertex at (1, 0)."""
-    return ellipse_polygon(1.0, 1.0, n)
 
 
 def ellipse_polygon(a: float, b: float, n: int = 256) -> Polygon2D:
@@ -284,57 +270,6 @@ def _dedup_sorted(vals: np.ndarray, eps: float) -> np.ndarray:
     return vals[keep]
 
 
-def slab_breakpoints(polygon: Polygon2D, omega) -> np.ndarray:
-    """Sorted unique projections of the vertices onto the axis orthogonal to
-    the slice lines (the first axis of the rotated frame)."""
-    R = rotation_to_vertical(omega)
-    xs = polygon.vertices @ R[0]
-    scale = max(1.0, float(np.abs(polygon.vertices).max()))
-    return _dedup_sorted(np.sort(xs), GEOM_TOL * scale)
-
-
-@dataclass(frozen=True)
-class SliceSet:
-    """Open intervals cut out of a domain by one line."""
-
-    offset: float
-    intervals: tuple
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
-
-
-def slice_polygon(polygon: Polygon2D, omega, t: float) -> SliceSet:
-    """Intervals {y : (t, y) in R @ polygon} where R maps omega to the second axis.
-
-    Lines through a vertex are handled by a half-open crossing rule; tangential
-    touches produce measure-zero intervals, which are dropped.
-    """
-    R = rotation_to_vertical(omega)
-    V = polygon.vertices @ R.T
-    scale = max(1.0, float(np.abs(V).max()), abs(t))
-    eps = GEOM_TOL * scale
-    xs = V[:, 0].copy()
-    xs[np.abs(xs - t) <= eps] = t
-    ys = V[:, 1]
-    qx = np.roll(xs, -1)
-    qy = np.roll(ys, -1)
-    crossing = ((xs <= t) & (t < qx)) | ((qx <= t) & (t < xs))
-    crossing &= np.abs(qx - xs) > 0
-    if not np.any(crossing):
-        return SliceSet(offset=float(t), intervals=())
-    px, py = xs[crossing], ys[crossing]
-    dx = qx[crossing] - px
-    dy = qy[crossing] - py
-    yc = np.sort(py + (t - px) * dy / dx)
-    if len(yc) % 2 != 0:
-        raise InvalidDomainError("slice produced an odd crossing count; polygon is degenerate here")
-    lo, hi = yc[0::2], yc[1::2]
-    keep = hi - lo > eps
-    return SliceSet(offset=float(t), intervals=tuple((float(a), float(b)) for a, b in zip(lo[keep], hi[keep])))
-
-
 @dataclass(frozen=True)
 class SlabDecomposition:
     """Per-slab connected components of slices along a direction.
@@ -351,15 +286,6 @@ class SlabDecomposition:
     slab_hi: np.ndarray
     len_lo: np.ndarray
     len_hi: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return len(self.len_lo)
-
-    def length_at(self, k: int, t: float) -> float:
-        """Length of component k at offset t (interpolated, stable)."""
-        s = (t - self.slab_lo[k]) / (self.slab_hi[k] - self.slab_lo[k])
-        return float((1.0 - s) * self.len_lo[k] + s * self.len_hi[k])
 
 
 def slab_decomposition(polygon: Polygon2D, omega) -> SlabDecomposition:
@@ -418,32 +344,6 @@ def slab_decomposition(polygon: Polygon2D, omega) -> SlabDecomposition:
         len_lo=np.maximum(len_lo, 0.0),
         len_hi=np.maximum(len_hi, 0.0),
     )
-
-
-def directional_width(polygon: Polygon2D, omega) -> float:
-    """Length of the longest connected chord of the polygon parallel to omega.
-
-    Within each slab every component length is affine in the offset, so the
-    maximum is attained at a slab endpoint.
-    """
-    dec = slab_decomposition(polygon, omega)
-    return max(float(dec.len_lo.max()), float(dec.len_hi.max()), 0.0)
-
-
-def linear_image(polygon, A) -> Polygon2D:
-    """Image of a polygon under an invertible linear map."""
-    if not isinstance(polygon, Polygon2D):
-        raise UnsupportedError("linear images are implemented for polygons only")
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2):
-        raise InvalidDomainError("polygon images need a 2 x 2 matrix")
-    det = float(np.linalg.det(A))
-    if abs(det) <= GEOM_TOL:
-        raise SingularMapError("non-invertible map")
-    W = polygon.vertices @ A.T
-    if det < 0:
-        W = W[::-1]
-    return Polygon2D(W, check_simple=False)
 
 
 def is_centrally_symmetric(polygon: Polygon2D) -> bool:

@@ -9,24 +9,14 @@ record every route returns for one (domain, seminorm) pair, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSeminormError, SingularMapError
+from .errors import InvalidSeminormError
 
 SEMINORM_TOL = 1e-12
-
-
-def _as_matrix(A, d: int) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.shape != (d, d):
-        raise InvalidSeminormError(f"expected a {d} x {d} matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidSeminormError("matrix entries must be finite")
-    if abs(np.linalg.det(A)) <= SEMINORM_TOL:
-        raise SingularMapError("non-invertible map")
-    return A
 
 
 class Rank1Seminorm:
@@ -65,11 +55,6 @@ class Rank1Seminorm:
         xi = np.asarray(xi, dtype=float)
         out = np.abs(xi @ self.eta)
         return float(out) if out.ndim == 0 else out
-
-    def compose(self, A) -> "Rank1Seminorm":
-        """The seminorm x -> H(Ax), which is rank-1 with eta' = A^T eta."""
-        A = _as_matrix(A, self.dimension)
-        return Rank1Seminorm(A.T @ self.eta)
 
     def normalized(self) -> "Rank1Seminorm":
         return Rank1Seminorm(self.direction)
@@ -143,12 +128,6 @@ class QuadraticSeminorm:
         out = np.sqrt(np.sum(comp * comp, axis=-1))
         return float(out) if out.ndim == 0 else out
 
-    def compose(self, A) -> "QuadraticSeminorm":
-        """The seminorm x -> H(Ax), quadratic with Gram matrix A^T Q A."""
-        A = _as_matrix(A, self.dimension)
-        w, V = np.linalg.eigh(A.T @ self.gram() @ A)
-        return QuadraticSeminorm(V, np.sqrt(np.clip(w, 0.0, None)))
-
     def normalized(self) -> "QuadraticSeminorm":
         n = self.operator_norm
         if n <= 0.0:
@@ -194,8 +173,8 @@ class SolverConfig:
     richardson: bool = False
 
     def __post_init__(self):
-        if not (self.target_h > 0):
-            raise ValueError("target_h must be positive")
+        if not (0 < self.target_h < math.inf):
+            raise ValueError("target_h must be finite and positive")
 
 
 def seminorm_from_json(obj):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from anisospec import Polygon2D, regular_polygon
+from anisospec import Polygon2D, QuadraticSeminorm, Rank1Seminorm, ellipse_polygon
+from anisospec.geometry import rotation_to_vertical
 
 
 @pytest.fixture
@@ -35,7 +36,7 @@ def u_shape():
 
 @pytest.fixture
 def hexagon():
-    return regular_polygon(6)
+    return ellipse_polygon(1.0, 1.0, 6)
 
 
 def random_convex_polygon(rng, n_points: int = 12, scale: float = 1.0) -> Polygon2D:
@@ -71,6 +72,54 @@ def point_in_polygon(poly: Polygon2D, pts: np.ndarray) -> np.ndarray:
         xint = px + (y - py) * (qx - px) / (qy - py)
     hits = cond & (x < xint)
     return np.sum(hits, axis=1) % 2 == 1
+
+
+# Independent oracles for geometry and seminorm identities the library uses
+# but does not expose: a single slice of a polygon, linear images of polygons
+# and seminorms, and triangle areas of a mesh.
+
+
+def slice_polygon(poly: Polygon2D, omega, t: float) -> tuple:
+    """Intervals {y : (t, y) in R @ poly}, R mapping omega to the second axis.
+
+    Edges cross the line x = t by a half-open rule, so a line through a vertex
+    counts it once; measure-zero intervals (tangential touches) are dropped.
+    """
+    V = poly.vertices @ rotation_to_vertical(omega).T
+    eps = 1e-12 * max(1.0, float(np.abs(V).max()), abs(t))
+    xs = np.where(np.abs(V[:, 0] - t) <= eps, t, V[:, 0])
+    ys = V[:, 1]
+    qx, qy = np.roll(xs, -1), np.roll(ys, -1)
+    crossing = ((xs <= t) & (t < qx)) | ((qx <= t) & (t < xs))
+    px, py = xs[crossing], ys[crossing]
+    yc = np.sort(py + (t - px) * (qy[crossing] - py) / (qx[crossing] - px))
+    lo, hi = yc[0::2], yc[1::2]
+    keep = hi - lo > eps
+    return tuple(zip(lo[keep].tolist(), hi[keep].tolist()))
+
+
+def linear_image(poly: Polygon2D, A) -> Polygon2D:
+    """Image of a polygon under an invertible 2 x 2 map, counter-clockwise."""
+    A = np.asarray(A, dtype=float)
+    W = poly.vertices @ A.T
+    return Polygon2D(W[::-1] if np.linalg.det(A) < 0 else W, check_simple=False)
+
+
+def compose(H, A):
+    """The seminorm x -> H(Ax): rank-1 with eta' = A^T eta, quadratic with
+    Gram matrix A^T Q A."""
+    A = np.asarray(A, dtype=float)
+    if isinstance(H, Rank1Seminorm):
+        return Rank1Seminorm(A.T @ H.eta)
+    w, V = np.linalg.eigh(A.T @ H.gram() @ A)
+    return QuadraticSeminorm(V, np.sqrt(np.clip(w, 0.0, None)))
+
+
+def mesh_areas(mesh) -> np.ndarray:
+    """Signed area of each triangle of a mesh (positive when counter-clockwise)."""
+    P = mesh.nodes[mesh.triangles]
+    E1, E2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    return 0.5 * (E1[:, 0] * E2[:, 1] - E1[:, 1] * E2[:, 0])
 
 
 # Per-edge loop versions of the mesher's outline kernels (fem.meshing's

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_convex_polygon
+from conftest import linear_image, random_convex_polygon
 
 from anisospec import (
     BoxD,
@@ -28,7 +28,6 @@ from anisospec import (
     kj_sequence_value,
     lambda_euclid_fem,
     lambda_rank1_ellipsoid,
-    linear_image,
     measure,
     mesh_polygon,
     optimize_quadratic,

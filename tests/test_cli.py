@@ -149,6 +149,13 @@ class TestEval:
         assert code == 3
         assert "interior" in err
 
+    def test_infinite_h_exits_2(self):
+        # a mesh size is checked where the settings are built, before any route runs
+        for seminorm in (AXIS_SEMINORM, '{"kind": "quadratic", "alphas": [1, 0.5]}'):
+            code, out, err = run_cli(["eval", "--domain", SQUARE, "--seminorm", seminorm, "--q", "1", "--h", "inf"])
+            assert (code, out) == (2, "")
+            assert "target_h must be finite and positive" in err
+
     def test_csv_format_rejected(self):
         code, _, err = run_cli(
             ["eval", "--domain", SQUARE, "--seminorm", AXIS_SEMINORM, "--q", "1", "--format", "csv"]
@@ -333,6 +340,13 @@ class TestKjDemo:
             code, _, _ = run_cli(["kj-demo", "--n", bad])
             assert code == 2
 
+    def test_rejects_nonfinite_q(self):
+        for q in ("nan", "-inf", "inf"):
+            for fmt in ("csv", "json"):
+                code, out, err = run_cli(["kj-demo", f"--q={q}", "--format", fmt])
+                assert (code, out) == (2, "")
+                assert err.startswith("kj-demo: ")
+
 
 class TestSpecFile:
     def test_flags_from_file(self, tmp_path):
@@ -500,7 +514,7 @@ def test_bench_tracer_installs():
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path, PYTHONDONTWRITEBYTECODE="1")
     script = (
         "import sys; sys.path.insert(0, 'perfbench'); import tracer; t = tracer.install(); import anisospec; "
-        "anisospec.solve_rank1(anisospec.regular_polygon(6), anisospec.Rank1Seminorm([0.0, 1.0])); "
+        "anisospec.solve_rank1(anisospec.ellipse_polygon(1.0, 1.0, 6), anisospec.Rank1Seminorm([0.0, 1.0])); "
         "print(sorted({s[0] for s in t.spans}), t.counts['slicing.breakpoints_sum'])"
     )
     proc = subprocess.run(

@@ -14,7 +14,6 @@ from anisospec.closed_forms import (
     _J01,
     kj_sequence_value,
     lambda_euclid_ball,
-    lambda_quadratic_ball_bound,
     lambda_rank1_ellipsoid,
     m_tilde_q_ellipsoid,
     q_threshold_ellipsoid,
@@ -179,11 +178,6 @@ class TestQuadraticBall:
     def test_zero_rejected(self):
         with pytest.raises(DegenerateSeminormError):
             torsion_quadratic_ball([0.0, 0.0])
-
-    def test_bound_values(self):
-        assert lambda_quadratic_ball_bound([1.0, 1.0]) == pytest.approx(J01_SQUARED, abs=1e-12)
-        assert lambda_quadratic_ball_bound([1.0, 0.0]) == pytest.approx(J01_SQUARED / 2, abs=1e-12)
-        assert lambda_quadratic_ball_bound([0.0, 0.0]) == 0.0
 
 
 class TestMinRank1Product:

@@ -12,7 +12,6 @@ from anisospec import (
     QuadraticSeminorm,
     Rank1Seminorm,
     ellipse_polygon,
-    regular_polygon,
 )
 from anisospec.closed_forms import m_tilde_q_ellipsoid
 from anisospec.errors import (
@@ -120,7 +119,7 @@ class TestScalingLaw:
             EllipsoidD([2.0, 1.0]),
             EllipsoidD([3.0, 2.0, 1.0]),
             SQUARE,
-            regular_polygon(6),
+            ellipse_polygon(1.0, 1.0, 6),
         ]
         cases = 0
         for _ in range(30):

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from anisospec import EllipsoidD, QuadraticSeminorm, regular_polygon
+from anisospec import EllipsoidD, QuadraticSeminorm, ellipse_polygon
 from anisospec import functional
 from anisospec.fem import SolverConfig, solver
 from anisospec.functional import eval_F, optimize_quadratic
@@ -37,7 +37,7 @@ def test_full_memo_releases_the_old_value_before_building():
 
 
 def test_optimizations_keep_one_domain_and_assemble_it_once():
-    a, b = regular_polygon(5), regular_polygon(6)
+    a, b = ellipse_polygon(1.0, 1.0, 5), ellipse_polygon(1.0, 1.0, 6)
     optimize_quadratic(a, 1.0, "min", ONE_NODE)
     before = (solver._ASSEMBLIES.hits, solver._ASSEMBLIES.misses)
     report = optimize_quadratic(b, 2.0, "max", ONE_NODE)

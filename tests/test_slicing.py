@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from anisospec import Polygon2D, Rank1Seminorm, linear_image, regular_polygon
+from anisospec import Polygon2D, Rank1Seminorm, ellipse_polygon
 from anisospec.geometry import slab_decomposition
 from anisospec.seminorms import Spectral
 from anisospec.slicing import solve_rank1
-from conftest import random_convex_polygon, random_star_polygon
+from conftest import compose, linear_image, random_convex_polygon, random_star_polygon
 
 
 def gauss5_torsion(poly, omega):
@@ -13,7 +13,7 @@ def gauss5_torsion(poly, omega):
     dec = slab_decomposition(poly, omega)
     nodes, weights = np.polynomial.legendre.leggauss(5)
     total = 0.0
-    for k in range(dec.n_components):
+    for k in range(len(dec.len_lo)):
         t0, t1 = dec.slab_lo[k], dec.slab_hi[k]
         half = 0.5 * (t1 - t0)
         s = 0.5 * (nodes + 1.0)
@@ -55,13 +55,13 @@ class TestSquare:
 
 class TestDiscPolygon:
     def test_eigenvalue_512gon(self):
-        poly = regular_polygon(512)
+        poly = ellipse_polygon(1.0, 1.0, 512)
         H = Rank1Seminorm([0.0, 1.0])
         assert solve_rank1(poly, H).lambda_ == pytest.approx(np.pi**2 / 4.0, rel=1e-4)
 
     def test_torsion_converges_to_quarter_pi(self):
         # rank-1 disc torsion: omega_2/4 = pi/4
-        poly = regular_polygon(1024)
+        poly = ellipse_polygon(1.0, 1.0, 1024)
         H = Rank1Seminorm([1.0, 0.0])
         assert solve_rank1(poly, H).torsion == pytest.approx(np.pi / 4.0, rel=1e-4)
 
@@ -104,7 +104,7 @@ class TestAffineInvariance:
             R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
             moved = linear_image(poly, R)
             # x -> H(R^T x) has direction R eta
-            H2 = H.compose(R.T).normalized()
+            H2 = compose(H, R.T).normalized()
             r1 = solve_rank1(poly, H)
             r2 = solve_rank1(moved, H2)
             assert r2.lambda_ == pytest.approx(r1.lambda_, rel=1e-10)
@@ -123,7 +123,7 @@ class TestAffineInvariance:
             th = rng.uniform(0, 2 * np.pi)
             H = Rank1Seminorm([np.cos(th), np.sin(th)])
             image = linear_image(poly, A)
-            pulled = H.compose(np.linalg.inv(A).T)
+            pulled = compose(H, np.linalg.inv(A).T)
             r_img = solve_rank1(image, H)
             r_pre = solve_rank1(poly, pulled)
             assert r_pre.lambda_ == pytest.approx(r_img.lambda_, rel=1e-10)
