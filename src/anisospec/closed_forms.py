@@ -138,6 +138,8 @@ def m_tilde_q_ellipsoid(a, q: float) -> tuple[float, Direction]:
     """
     if q > 1.0:
         raise UnsupportedError("formula valid only for q <= 1")
+    if not math.isfinite(q):
+        raise InputError("q must be finite")
     a = _axes(a)
     d = a.size
     vol = unit_ball_volume(d) * float(np.prod(a))

@@ -7,11 +7,15 @@ on the interior nodes (zero Dirichlet data eliminated), serve every Q,
 
     K_Q = Q11 Kxx + Q12 Kxy + Q22 Kyy     (Kxy the symmetrized cross term).
 
-One sparse LU factorization of K_Q gives the torsion T_H = f^T K_Q^-1 f and
-drives shift-invert Lanczos (`_lowest`) for lambda_H = min eig(K_Q, M),
-started from the torsion solution and accepted only when its relative
-residual is at most `_EIG_TOL`. Every solve returns both factors; the
-Euclidean solver is the case Q = I. This is the discrete problem of the
+Each solve gives the torsion T_H = f^T K_Q^-1 f and lambda_H = min eig(K_Q, M)
+by one of two branches, chosen by the number of interior nodes alone. Up to
+`_DENSE_MAX` nodes, where per-call overhead outweighs arithmetic, one dense
+Cholesky factorization of K_Q (LAPACK `dpotrf`/`dpotrs`) gives the torsion and
+LAPACK `dsygvx` the lowest eigenpair. Above it, one sparse LU factorization
+of K_Q gives the torsion and drives shift-invert Lanczos (`_lowest`), started
+from the torsion solution. Either eigenpair is accepted only when its
+relative residual is at most `_EIG_TOL`. Every solve returns both factors;
+the Euclidean solver is the case Q = I. This is the discrete problem of the
 Euclidean solve on the mapped mesh B Omega with B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstev
+from scipy.linalg.lapack import dpotrf, dpotrs, dstev, dsygvx
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
@@ -47,6 +51,12 @@ _EUCLID = np.eye(2)
 _EIG_TOL = 1e-8
 # cap on the shift-invert Lanczos steps, one solve with the LU factors each
 _MAX_STEPS = 200
+# assemblies with at most this many interior nodes are solved densely: on a
+# 2-core host the dense solve is the faster one below about 110 nodes
+_DENSE_MAX = 100
+# dsygvx's bisection tolerance: twice the underflow threshold (DLAMCH('S')),
+# which LAPACK documents as the setting for the most accurate eigenvalues
+_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def _local_matrices(mesh: TriMesh):
@@ -84,7 +94,9 @@ def p1_assemble(mesh: TriMesh):
 class _Assembly:
     """P1 matrices of one mesh restricted to its interior nodes. The stiffness
     parts and the mass share one symmetric sparsity pattern, so a stored
-    (indptr, indices) pair reads the same as CSR or CSC."""
+    (indptr, indices) pair reads the same as CSR or CSC. A mesh with at most
+    `_DENSE_MAX` interior nodes also keeps (Kxx, Kxy, Kyy, M) as dense arrays,
+    and `_solve` takes its dense branch."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -94,6 +106,7 @@ class _Assembly:
     M: csc_matrix
     f: np.ndarray
     h: float
+    dense: tuple[np.ndarray, ...] | None
 
     @classmethod
     def of(cls, mesh: TriMesh) -> "_Assembly":
@@ -116,15 +129,22 @@ class _Assembly:
         def gather(loc):
             return np.bincount(slot, weights=loc.ravel()[keep], minlength=len(keys))
 
+        parts = [gather(loc) for loc in (kxx, kxy, kyy, Mloc)]
+        dense = None
+        if n <= _DENSE_MAX:
+            full = np.zeros((4, n * n))
+            full[:, keys] = parts
+            dense = tuple(full.reshape(4, n, n))
         return cls(
             indptr=indptr,
             indices=indices,
-            kxx=gather(kxx),
-            kxy=gather(kxy),
-            kyy=gather(kyy),
-            M=csc_matrix((gather(Mloc), indices, indptr), shape=(n, n)),
+            kxx=parts[0],
+            kxy=parts[1],
+            kyy=parts[2],
+            M=csc_matrix((parts[3], indices, indptr), shape=(n, n)),
             f=np.bincount(mesh.triangles.ravel(), weights=load, minlength=mesh.n_nodes)[free],
             h=mesh.h,
+            dense=dense,
         )
 
     def stiffness(self, Q) -> csc_matrix:
@@ -175,9 +195,16 @@ def _lowest(K, M, lu, u):
     raise SolverError(f"shift-invert Lanczos did not converge in {m} steps")
 
 
-def _solve(a: _Assembly, Q):
-    """(lambda, torsion) for the form with Gram matrix Q from one sparse LU
-    factorization of K_Q."""
+def _torsion(f, u) -> float:
+    torsion = float(f @ u)
+    if not np.isfinite(torsion):
+        raise SolverError("torsion solve produced a non-finite value")
+    return torsion
+
+
+def _solve_sparse(a: _Assembly, Q):
+    """(K_Q, torsion, lambda, y, M y) from one sparse LU factorization of K_Q
+    and shift-invert Lanczos on its factors."""
     K = a.stiffness(Q)
     # K_Q is symmetric positive definite: symmetric ordering, no pivoting
     try:
@@ -185,10 +212,33 @@ def _solve(a: _Assembly, Q):
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
     u = lu.solve(a.f)
-    torsion = float(a.f @ u)
-    if not np.isfinite(torsion):
-        raise SolverError("torsion solve produced a non-finite value")
-    lam, y, My = _lowest(K, a.M, lu, u)
+    return (K, _torsion(a.f, u)) + _lowest(K, a.M, lu, u)
+
+
+def _solve_dense(a: _Assembly, Q):
+    """(K_Q, torsion, lambda, y, M y) from a dense Cholesky factorization of
+    K_Q and LAPACK's generalized eigensolver for the lowest eigenpair."""
+    kxx, kxy, kyy, M = a.dense
+    K = Q[0, 0] * kxx + Q[0, 1] * kxy + Q[1, 1] * kyy
+    c, info = dpotrf(K, lower=1)
+    if info:
+        raise SolverError(f"dense Cholesky factorization failed (dpotrf info {info})")
+    u, _ = dpotrs(c, a.f, lower=1)
+    torsion = _torsion(a.f, u)
+    w, z, _, _, info = dsygvx(K, M, range="I", il=1, iu=1, abstol=_ABSTOL)
+    if info:
+        raise SolverError(f"dense generalized eigensolver failed (dsygvx info {info})")
+    y = z[:, 0]
+    return K, torsion, float(w[0]), y, M @ y
+
+
+def _solve(a: _Assembly, Q):
+    """(lambda, torsion) for the form with Gram matrix Q. An assembly that
+    keeps dense matrices takes one dense Cholesky factorization of K_Q and
+    `dsygvx`; a larger one takes one sparse LU factorization and Lanczos.
+    Either eigenpair is accepted only when its relative residual is at most
+    `_EIG_TOL`."""
+    K, torsion, lam, y, My = (_solve_sparse if a.dense is None else _solve_dense)(a, Q)
     residual = float(np.linalg.norm(K @ y - lam * My) / (lam * np.linalg.norm(My)))
     if not residual <= _EIG_TOL:
         raise SolverError(f"eigen-residual {residual:.3e} exceeds the bound {_EIG_TOL:.1e}")
@@ -224,7 +274,7 @@ def solve_quadratic(
     polygon: Polygon2D, H: QuadraticSeminorm, cfg: SolverConfig = SolverConfig()
 ) -> Spectral:
     """lambda_H and T_H on a polygon for a nondegenerate quadratic seminorm:
-    one LU factorization of the anisotropic stiffness K_Q (Q the Gram matrix
+    one factorization of the anisotropic stiffness K_Q (Q the Gram matrix
     of H) on the polygon's mesh gives both. A vanishing alpha is rejected;
     the zero seminorm raises DegenerateSeminormError (lambda 0, torsion
     infinite).

@@ -6,6 +6,7 @@ import pytest
 from anisospec import (
     BoxD,
     DegenerateSeminormError,
+    InputError,
     InvalidDomainError,
     UnsupportedError,
     unit_ball_volume,
@@ -219,6 +220,14 @@ class TestMinRank1Product:
     def test_q_above_one_rejected(self):
         with pytest.raises(UnsupportedError, match="q <= 1"):
             m_tilde_q_ellipsoid([1.0, 1.0], 1.5)
+
+    def test_nonfinite_q_rejected(self):
+        # as in kj_sequence_value, +inf fails the range check first
+        for q in (float("nan"), float("-inf")):
+            with pytest.raises(InputError, match="q must be finite"):
+                m_tilde_q_ellipsoid([1.0, 1.0], q)
+        with pytest.raises(UnsupportedError, match="q <= 1"):
+            m_tilde_q_ellipsoid([1.0, 1.0], float("inf"))
 
 
 class TestTMax:

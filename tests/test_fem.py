@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from anisospec import Polygon2D, QuadraticSeminorm, ellipse_polygon
+from anisospec import Polygon2D, QuadraticSeminorm, cli, ellipse_polygon
 from anisospec.errors import DegenerateSeminormError, InvalidSeminormError, MeshError, SolverError
 from anisospec.fem import (
     SolverConfig,
@@ -25,6 +28,25 @@ LAMBDA_SQUARE = 2.0 * np.pi**2
 # at target_h = 0.5 this 5-gon fails the grid-Delaunay fast path and is meshed
 # by the ear-clip fallback
 FALLBACK_PENTAGON = Polygon2D([[0.6, 0.3], [0.1, 0.9], [-0.1, 0.2], [-0.8, 0.3], [-0.6, 0.1]])
+
+
+def _sparse_side(polygon, h):
+    # a mesh that `_solve` takes to splu and Lanczos, not the dense branch
+    return len(mesh_polygon(polygon, h).interior_nodes()) > solver._DENSE_MAX
+
+
+def _sparse(a):
+    # the same assembly without its dense matrices: `_solve` takes the sparse branch
+    return dataclasses.replace(a, dense=None)
+
+
+def _strip(n):
+    """A 1 x (n + 1) grid strip of right triangles with exactly n interior nodes."""
+    x, y = np.meshgrid(np.arange(n + 2.0), np.arange(3.0))
+    ids = np.arange(3 * (n + 2)).reshape(3, n + 2)
+    a, b, c, d = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
+    triangles = np.concatenate([np.stack([a, b, c], -1).reshape(-1, 3), np.stack([a, c, d], -1).reshape(-1, 3)])
+    return TriMesh.from_arrays(np.stack([x.ravel(), y.ravel()], 1), triangles)
 
 
 def _check_conforming(mesh):
@@ -256,6 +278,7 @@ class TestEuclidSolver:
             lambda_euclid_fem(unit_square, SolverConfig(target_h=2.0))
 
     def test_eigensolver_iteration_cap(self, unit_square, monkeypatch):
+        assert _sparse_side(unit_square, 0.1)
         monkeypatch.setattr(solver, "_MAX_STEPS", 2)
         with pytest.raises(SolverError, match="did not converge"):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
@@ -346,6 +369,28 @@ class TestSolveQuadratic:
         assert scaled.torsion == pytest.approx(base.torsion / 9.0, rel=1e-9)
 
 
+# fakes of the LAPACK calls of the dense branch, each around the real one
+def _failed_cholesky(real, *args, **kwargs):
+    return real(*args, **kwargs)[0], 3
+
+
+def _eigensolver_info(real, *args, **kwargs):
+    return real(*args, **kwargs)[:4] + (61,)
+
+
+def _eigenvalue_off(real, *args, **kwargs):
+    w, *rest = real(*args, **kwargs)
+    return (w * (1.0 + 1e-6), *rest)
+
+
+def _quad_polygon_assembly():
+    # a random star of area 0.5 at h = 0.12, the size of the benchmark's polygons
+    star = random_star_polygon(np.random.default_rng(11), 7)
+    a = _Assembly.of(mesh_polygon(Polygon2D(star.vertices * np.sqrt(0.5 / star.area)), 0.12))
+    assert 50 <= len(a.f) <= 80
+    return a
+
+
 class TestAnisotropicSolve:
     def test_matches_dense_solvers(self, hexagon):
         # a stretched, rotated seminorm: lambda1/lambda2 is close to 1 here,
@@ -373,12 +418,14 @@ class TestAnisotropicSolve:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
+        assert _sparse_side(unit_square, 0.1)
         monkeypatch.setattr(solver, "splu", singular)
         with pytest.raises(SolverError, match="factorization"):
-            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
+            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
 
     def test_lanczos_failure_is_solver_error(self, unit_square, monkeypatch):
         # the torsion solve succeeds; every Lanczos solve returns NaN
+        assert _sparse_side(unit_square, 0.1)
         splu = solver.splu
 
         class Poisoned:
@@ -391,9 +438,10 @@ class TestAnisotropicSolve:
 
         monkeypatch.setattr(solver, "splu", Poisoned)
         with pytest.raises(SolverError, match="Lanczos"):
-            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
+            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
 
     def test_residual_miss_is_solver_error(self, unit_square, monkeypatch):
+        assert _sparse_side(unit_square, 0.1)
         lowest = solver._lowest
 
         def off(*args):
@@ -402,14 +450,40 @@ class TestAnisotropicSolve:
 
         monkeypatch.setattr(solver, "_lowest", off)
         with pytest.raises(SolverError, match="residual"):
+            lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
+
+    @pytest.mark.parametrize(
+        "name, fake, match",
+        [
+            ("dpotrf", _failed_cholesky, "factorization"),
+            ("dsygvx", _eigensolver_info, "dsygvx info 61"),
+            ("dsygvx", _eigenvalue_off, "residual"),
+        ],
+        ids=["cholesky", "eigensolver", "residual"],
+    )
+    def test_dense_failure_is_solver_error(self, unit_square, monkeypatch, name, fake, match):
+        # the dense twins of the three tests above: a failed factorization, a
+        # LAPACK error and an eigenvalue off by 1e-6 each raise SolverError,
+        # which the CLI reports with exit code 3
+        assert _Assembly.of(mesh_polygon(unit_square, 0.3)).dense is not None
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, **k: fake(real, *a, **k))
+        with pytest.raises(SolverError, match=match):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
+        # a seminorm no other test evaluates, so no memo answers for the solver
+        seminorm = '{"kind": "quadratic", "alphas": [1, 0.4321]}'
+        square = '{"kind": "polygon", "vertices": [[0,0],[1,0],[1,1],[0,1]]}'
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(["eval", "--domain", square, "--seminorm", seminorm, "--q", "1", "--h", "0.3"])
+        assert code == 3
+        assert match.split()[0] in err.getvalue()
 
     def test_matches_dense_eigh_over_the_family(self):
         # a quad-polygon-size mesh (area 0.5, h = 0.12) over a 36 x 20 grid
-        # of (theta, alpha), against scipy's dense generalized eigh
-        star = random_star_polygon(np.random.default_rng(11), 7)
-        a = _Assembly.of(mesh_polygon(Polygon2D(star.vertices * np.sqrt(0.5 / star.area)), 0.12))
-        assert 50 <= len(a.f) <= 80
+        # of (theta, alpha), against scipy's dense generalized eigh; the
+        # sparse branch is forced, since `_solve` takes this mesh densely
+        a = _sparse(_quad_polygon_assembly())
         M = a.M.toarray()
         worst = 0.0
         for theta in np.linspace(0.0, np.pi, 36, endpoint=False):
@@ -418,6 +492,38 @@ class TestAnisotropicSolve:
                 dense = scipy.linalg.eigh(a.stiffness(Q).toarray(), M, eigvals_only=True)[0]
                 worst = max(worst, abs(_solve(a, Q)[0] / dense - 1.0))
         assert worst <= 1e-10
+
+    def test_dense_branch_matches_sparse_over_the_family(self):
+        # the same mesh and grid: the dense Cholesky and dsygvx branch against
+        # splu and Lanczos, both factors
+        a = _quad_polygon_assembly()
+        assert a.dense is not None
+        worst_lam = worst_tor = 0.0
+        for theta in np.linspace(0.0, np.pi, 36, endpoint=False):
+            for alpha in np.geomspace(0.005, 1.0, 20):
+                Q = _family_seminorm(theta, alpha).gram()
+                lam, tor = _solve(a, Q)
+                lam_sparse, tor_sparse = _solve(_sparse(a), Q)
+                worst_lam = max(worst_lam, abs(lam / lam_sparse - 1.0))
+                worst_tor = max(worst_tor, abs(tor / tor_sparse - 1.0))
+        assert worst_lam <= 1e-12
+        assert worst_tor <= 1e-12
+
+    def test_branch_is_chosen_by_interior_node_count(self, monkeypatch):
+        # with splu broken, a mesh of _DENSE_MAX interior nodes still solves
+        # (dense branch) and one of _DENSE_MAX + 1 fails (sparse branch)
+        def broken(*args, **kwargs):
+            raise RuntimeError("splu must not run here")
+
+        Q = _family_seminorm(0.4, 0.3).gram()
+        small, large = _Assembly.of(_strip(solver._DENSE_MAX)), _Assembly.of(_strip(solver._DENSE_MAX + 1))
+        assert (len(small.f), len(large.f)) == (solver._DENSE_MAX, solver._DENSE_MAX + 1)
+        assert small.dense is not None and large.dense is None
+        expected = _solve(_sparse(small), Q)
+        monkeypatch.setattr(solver, "splu", broken)
+        assert _solve(small, Q) == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(SolverError, match="splu must not run here"):
+            _solve(large, Q)
 
     def test_matches_dense_eigh_on_a_thin_l_shape(self, l_shape):
         a = _Assembly.of(mesh_polygon(l_shape, 0.05))
