@@ -9,14 +9,19 @@ on the interior nodes (zero Dirichlet data eliminated), serve every Q,
 
 Each solve gives the torsion T_H = f^T K_Q^-1 f and lambda_H = min eig(K_Q, M)
 by one of two branches, chosen by the number of interior nodes alone. Up to
-`_DENSE_MAX` nodes, where per-call overhead outweighs arithmetic, one dense
-Cholesky factorization of K_Q (LAPACK `dpotrf`/`dpotrs`) gives the torsion and
-LAPACK `dsygvx` the lowest eigenpair. Above it, one sparse LU factorization
-of K_Q gives the torsion and drives shift-invert Lanczos (`_lowest`), started
-from the torsion solution. Either eigenpair is accepted only when its
-relative residual is at most `_EIG_TOL`. Every solve returns both factors;
-the Euclidean solver is the case Q = I. This is the discrete problem of the
-Euclidean solve on the mapped mesh B Omega with B = diag(1/alpha) R^T:
+`_DENSE_MAX` nodes, where per-call overhead outweighs arithmetic, the solve
+runs in the frame of the mass matrix's Cholesky factor M = L L^T, computed
+once per assembly. The pencil (K_Q, M) reduces to the standard symmetric
+problem A_Q = L^-1 K_Q L^-T, which is linear in Q like K_Q. One dense Cholesky
+factorization A_Q = C C^T (LAPACK `dpotrf`) gives T_H = |C^-1 g|^2 with
+g = L^-1 f (`dtrtrs`), and LAPACK `dsyevr` the lowest eigenpair (mu, z) of
+A_Q, whose generalized pair is (mu, L^-T z). Above `_DENSE_MAX`, one sparse
+LU factorization of K_Q gives the torsion and drives shift-invert Lanczos
+(`_lowest`), started from the torsion solution. Either eigenpair is accepted
+only when its generalized relative residual is at most `_EIG_TOL`. Every
+solve returns both factors; the Euclidean solver is the case Q = I. This is
+the discrete problem of the Euclidean solve on the mapped mesh B Omega with
+B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
 
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dstev, dsygvx
+from scipy.linalg.lapack import dpotrf, dstev, dsyevr, dtrtrs
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
@@ -54,7 +59,7 @@ _MAX_STEPS = 200
 # assemblies with at most this many interior nodes are solved densely: on a
 # 2-core host the dense solve is the faster one below about 110 nodes
 _DENSE_MAX = 100
-# dsygvx's bisection tolerance: twice the underflow threshold (DLAMCH('S')),
+# dsyevr's bisection tolerance: twice the underflow threshold (DLAMCH('S')),
 # which LAPACK documents as the setting for the most accurate eigenvalues
 _ABSTOL = 2.0 * np.finfo(float).tiny
 
@@ -95,8 +100,11 @@ class _Assembly:
     """P1 matrices of one mesh restricted to its interior nodes. The stiffness
     parts and the mass share one symmetric sparsity pattern, so a stored
     (indptr, indices) pair reads the same as CSR or CSC. A mesh with at most
-    `_DENSE_MAX` interior nodes also keeps (Kxx, Kxy, Kyy, M) as dense arrays,
-    and `_solve` takes its dense branch."""
+    `_DENSE_MAX` interior nodes also keeps `dense` = (parts, L, g), and
+    `_solve` takes its dense branch: L is the lower Cholesky factor of the
+    dense M = L L^T, g = L^-1 f, and row k of parts (3 x n^2) is the reduced
+    stiffness part L^-1 K L^-T for K = Kxx, Kxy, Kyy, so that
+    (Q11, Q12, Q22) @ parts is A_Q = L^-1 K_Q L^-T flattened."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -130,11 +138,21 @@ class _Assembly:
             return np.bincount(slot, weights=loc.ravel()[keep], minlength=len(keys))
 
         parts = [gather(loc) for loc in (kxx, kxy, kyy, Mloc)]
+        f = np.bincount(mesh.triangles.ravel(), weights=load, minlength=mesh.n_nodes)[free]
         dense = None
         if n <= _DENSE_MAX:
             full = np.zeros((4, n * n))
             full[:, keys] = parts
-            dense = tuple(full.reshape(4, n, n))
+            *stiff, M = full.reshape(4, n, n)
+            L, info = dpotrf(M, lower=1)
+            if info:
+                raise SolverError(f"mass matrix Cholesky factorization failed (dpotrf info {info})")
+
+            def reduced(K):
+                A = dtrtrs(L, dtrtrs(L, K, lower=1)[0].T, lower=1)[0]
+                return (A + A.T).ravel() * 0.5
+
+            dense = (np.stack([reduced(K) for K in stiff]), L, dtrtrs(L, f, lower=1)[0])
         return cls(
             indptr=indptr,
             indices=indices,
@@ -142,7 +160,7 @@ class _Assembly:
             kxy=parts[1],
             kyy=parts[2],
             M=csc_matrix((parts[3], indices, indptr), shape=(n, n)),
-            f=np.bincount(mesh.triangles.ravel(), weights=load, minlength=mesh.n_nodes)[free],
+            f=f,
             h=mesh.h,
             dense=dense,
         )
@@ -195,16 +213,16 @@ def _lowest(K, M, lu, u):
     raise SolverError(f"shift-invert Lanczos did not converge in {m} steps")
 
 
-def _torsion(f, u) -> float:
-    torsion = float(f @ u)
+def _torsion(value) -> float:
+    torsion = float(value)
     if not np.isfinite(torsion):
         raise SolverError("torsion solve produced a non-finite value")
     return torsion
 
 
 def _solve_sparse(a: _Assembly, Q):
-    """(K_Q, torsion, lambda, y, M y) from one sparse LU factorization of K_Q
-    and shift-invert Lanczos on its factors."""
+    """(torsion, lambda, K_Q y - lambda M y, M y) from one sparse LU
+    factorization of K_Q and shift-invert Lanczos on its factors."""
     K = a.stiffness(Q)
     # K_Q is symmetric positive definite: symmetric ordering, no pivoting
     try:
@@ -212,34 +230,38 @@ def _solve_sparse(a: _Assembly, Q):
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
     u = lu.solve(a.f)
-    return (K, _torsion(a.f, u)) + _lowest(K, a.M, lu, u)
+    lam, y, My = _lowest(K, a.M, lu, u)
+    return _torsion(a.f @ u), lam, K @ y - lam * My, My
 
 
 def _solve_dense(a: _Assembly, Q):
-    """(K_Q, torsion, lambda, y, M y) from a dense Cholesky factorization of
-    K_Q and LAPACK's generalized eigensolver for the lowest eigenpair."""
-    kxx, kxy, kyy, M = a.dense
-    K = Q[0, 0] * kxx + Q[0, 1] * kxy + Q[1, 1] * kyy
-    c, info = dpotrf(K, lower=1)
+    """(torsion, lambda, K_Q y - lambda M y, M y) in the frame of M = L L^T:
+    one dense Cholesky factorization of A_Q = L^-1 K_Q L^-T gives the torsion
+    g^T A_Q^-1 g, and `dsyevr` the lowest eigenpair (lambda, z) of A_Q. With
+    y = L^-T z, K_Q y - lambda M y = L (A_Q z - lambda z) and M y = L z."""
+    parts, L, g = a.dense
+    A = np.dot((Q[0, 0], Q[0, 1], Q[1, 1]), parts).reshape(L.shape)
+    c, info = dpotrf(A, lower=1)
     if info:
         raise SolverError(f"dense Cholesky factorization failed (dpotrf info {info})")
-    u, _ = dpotrs(c, a.f, lower=1)
-    torsion = _torsion(a.f, u)
-    w, z, _, _, info = dsygvx(K, M, range="I", il=1, iu=1, abstol=_ABSTOL)
+    v, _ = dtrtrs(c, g, lower=1)
+    torsion = _torsion(v @ v)
+    w, z, _, _, info = dsyevr(A, range="I", il=1, iu=1, abstol=_ABSTOL)
     if info:
-        raise SolverError(f"dense generalized eigensolver failed (dsygvx info {info})")
-    y = z[:, 0]
-    return K, torsion, float(w[0]), y, M @ y
+        raise SolverError(f"dense eigensolver failed (dsyevr info {info})")
+    lam, z = float(w[0]), z[:, 0]
+    return torsion, lam, L @ (A @ z - lam * z), L @ z
 
 
 def _solve(a: _Assembly, Q):
     """(lambda, torsion) for the form with Gram matrix Q. An assembly that
-    keeps dense matrices takes one dense Cholesky factorization of K_Q and
-    `dsygvx`; a larger one takes one sparse LU factorization and Lanczos.
-    Either eigenpair is accepted only when its relative residual is at most
-    `_EIG_TOL`."""
-    K, torsion, lam, y, My = (_solve_sparse if a.dense is None else _solve_dense)(a, Q)
-    residual = float(np.linalg.norm(K @ y - lam * My) / (lam * np.linalg.norm(My)))
+    keeps its reduced dense matrices takes one dense Cholesky factorization
+    and `dsyevr` in the frame of M's Cholesky factor; a larger one takes one
+    sparse LU factorization and Lanczos. Either eigenpair is accepted only
+    when its generalized relative residual |K_Q y - lambda M y| /
+    (lambda |M y|) is at most `_EIG_TOL`."""
+    torsion, lam, r, My = (_solve_sparse if a.dense is None else _solve_dense)(a, Q)
+    residual = float(np.linalg.norm(r) / (lam * np.linalg.norm(My)))
     if not residual <= _EIG_TOL:
         raise SolverError(f"eigen-residual {residual:.3e} exceeds the bound {_EIG_TOL:.1e}")
     return lam, torsion

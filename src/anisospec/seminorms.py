@@ -77,26 +77,34 @@ class QuadraticSeminorm:
     __slots__ = ("rotation", "alphas")
 
     def __init__(self, rotation, alphas):
+        # the checks and the canonical form run on Python floats: at d = 2 a
+        # NumPy call on a tiny array costs more than the arithmetic
         a = np.array(np.atleast_1d(alphas), dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise InvalidSeminormError("alphas must be a one-dimensional vector")
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
+        al = a.tolist()
+        # false for NaN, negative and infinite entries
+        if not all(0.0 <= x < math.inf for x in al):
             raise InvalidSeminormError("alphas must be nonnegative and finite")
-        d = a.size
+        d = len(al)
         R = np.eye(d) if rotation is None else np.array(rotation, dtype=float)
         if R.shape != (d, d):
             raise InvalidSeminormError("rotation must be a d x d matrix")
-        if not np.all(np.isfinite(R)):
+        entries = R.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise InvalidSeminormError("rotation entries must be finite")
-        if np.abs(R.T @ R - np.eye(d)).max() > SEMINORM_TOL:
+        gram = (R.T @ R).tolist()
+        if any(abs(g - (i == j)) > SEMINORM_TOL for i, row in enumerate(gram) for j, g in enumerate(row)):
             raise InvalidSeminormError("rotation must be orthogonal within 1e-12")
-        order = np.argsort(-a, kind="stable")
-        a = a[order]
-        R = R[:, order]
-        for j in range(d):
-            k = int(np.argmax(np.abs(R[:, j])))
-            if R[k, j] < 0:
-                R[:, j] = -R[:, j]
+        # alphas descending, ties in their given order (a stable sort)
+        if any(x < y for x, y in zip(al, al[1:])):
+            order = sorted(range(d), key=lambda i: -al[i])
+            a = a[order]
+            R = R[:, order]
+        # flip each column whose first largest-magnitude entry is negative
+        flip = [j for j, col in enumerate(R.T.tolist()) if max(col, key=abs) < 0.0]
+        if flip:
+            R[:, flip] = -R[:, flip]
         a.flags.writeable = False
         R.flags.writeable = False
         self.alphas = a

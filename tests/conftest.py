@@ -3,7 +3,9 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from anisospec import Polygon2D, QuadraticSeminorm, Rank1Seminorm, ellipse_polygon
+from anisospec.errors import InvalidSeminormError
 from anisospec.geometry import rotation_to_vertical
+from anisospec.seminorms import SEMINORM_TOL
 
 
 @pytest.fixture
@@ -113,6 +115,36 @@ def compose(H, A):
         return Rank1Seminorm(A.T @ H.eta)
     w, V = np.linalg.eigh(A.T @ H.gram() @ A)
     return QuadraticSeminorm(V, np.sqrt(np.clip(w, 0.0, None)))
+
+
+def oracle_quadratic_canonical(rotation, alphas):
+    """(alphas, rotation) in canonical form, or InvalidSeminormError with the
+    library's message: the NumPy form of QuadraticSeminorm's checks and
+    canonicalization (alphas descending by a stable sort, each column's first
+    largest-magnitude entry positive) before they moved to Python floats.
+    The memos key on the bytes of both arrays, so the two must agree bit for
+    bit."""
+    a = np.array(np.atleast_1d(alphas), dtype=float)
+    if a.ndim != 1 or a.size < 1:
+        raise InvalidSeminormError("alphas must be a one-dimensional vector")
+    if not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise InvalidSeminormError("alphas must be nonnegative and finite")
+    d = a.size
+    R = np.eye(d) if rotation is None else np.array(rotation, dtype=float)
+    if R.shape != (d, d):
+        raise InvalidSeminormError("rotation must be a d x d matrix")
+    if not np.all(np.isfinite(R)):
+        raise InvalidSeminormError("rotation entries must be finite")
+    if np.abs(R.T @ R - np.eye(d)).max() > SEMINORM_TOL:
+        raise InvalidSeminormError("rotation must be orthogonal within 1e-12")
+    order = np.argsort(-a, kind="stable")
+    a = a[order]
+    R = R[:, order]
+    for j in range(d):
+        k = int(np.argmax(np.abs(R[:, j])))
+        if R[k, j] < 0:
+            R[:, j] = -R[:, j]
+    return a, R
 
 
 def mesh_areas(mesh) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -18,6 +19,7 @@ from anisospec.fem import (
 )
 from anisospec.fem.meshing import _ear_clip, _grid_delaunay, _Refiner
 from anisospec.functional import _family_seminorm, eval_F
+from anisospec.memo import Memo
 from anisospec.fem import solver
 from anisospec.fem.solver import _Assembly, _solve, p1_assemble
 from conftest import loop_dist_to_outline, mesh_areas, random_star_polygon
@@ -383,6 +385,15 @@ def _eigenvalue_off(real, *args, **kwargs):
     return (w * (1.0 + 1e-6), *rest)
 
 
+def _fake_lapack(monkeypatch, name, real, fake, passes):
+    """Put `fake` around `real` as solver.<name> from its call `passes` + 1
+    on, with an empty assembly memo: every solve then builds its assembly,
+    whose mass Cholesky factorization is the first `dpotrf` call."""
+    monkeypatch.setattr(solver, "_ASSEMBLIES", Memo(1))
+    calls = itertools.count()
+    monkeypatch.setattr(solver, name, lambda *a, **k: real(*a, **k) if next(calls) < passes else fake(real, *a, **k))
+
+
 def _quad_polygon_assembly():
     # a random star of area 0.5 at h = 0.12, the size of the benchmark's polygons
     star = random_star_polygon(np.random.default_rng(11), 7)
@@ -453,31 +464,34 @@ class TestAnisotropicSolve:
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
 
     @pytest.mark.parametrize(
-        "name, fake, match",
+        "name, fake, passes, match",
         [
-            ("dpotrf", _failed_cholesky, "factorization"),
-            ("dsygvx", _eigensolver_info, "dsygvx info 61"),
-            ("dsygvx", _eigenvalue_off, "residual"),
+            ("dpotrf", _failed_cholesky, 1, "dense Cholesky factorization failed"),
+            ("dsyevr", _eigensolver_info, 0, "dsyevr info 61"),
+            ("dsyevr", _eigenvalue_off, 0, "eigen-residual"),
+            ("dpotrf", _failed_cholesky, 0, "mass matrix Cholesky factorization failed"),
         ],
-        ids=["cholesky", "eigensolver", "residual"],
+        ids=["cholesky", "eigensolver", "residual", "mass-cholesky"],
     )
-    def test_dense_failure_is_solver_error(self, unit_square, monkeypatch, name, fake, match):
+    def test_dense_failure_is_solver_error(self, unit_square, monkeypatch, name, fake, passes, match):
         # the dense twins of the three tests above: a failed factorization, a
         # LAPACK error and an eigenvalue off by 1e-6 each raise SolverError,
-        # which the CLI reports with exit code 3
+        # as does a failed factorization of the assembly's mass matrix; the
+        # CLI reports each with exit code 3
         assert _Assembly.of(mesh_polygon(unit_square, 0.3)).dense is not None
         real = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda *a, **k: fake(real, *a, **k))
+        _fake_lapack(monkeypatch, name, real, fake, passes)
         with pytest.raises(SolverError, match=match):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.3))
         # a seminorm no other test evaluates, so no memo answers for the solver
+        _fake_lapack(monkeypatch, name, real, fake, passes)
         seminorm = '{"kind": "quadratic", "alphas": [1, 0.4321]}'
         square = '{"kind": "polygon", "vertices": [[0,0],[1,0],[1,1],[0,1]]}'
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = cli.main(["eval", "--domain", square, "--seminorm", seminorm, "--q", "1", "--h", "0.3"])
         assert code == 3
-        assert match.split()[0] in err.getvalue()
+        assert match in err.getvalue()
 
     def test_matches_dense_eigh_over_the_family(self):
         # a quad-polygon-size mesh (area 0.5, h = 0.12) over a 36 x 20 grid
@@ -494,7 +508,7 @@ class TestAnisotropicSolve:
         assert worst <= 1e-10
 
     def test_dense_branch_matches_sparse_over_the_family(self):
-        # the same mesh and grid: the dense Cholesky and dsygvx branch against
+        # the same mesh and grid: the dense branch (M's Cholesky frame, dsyevr) against
         # splu and Lanczos, both factors
         a = _quad_polygon_assembly()
         assert a.dense is not None

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,57 @@ from anisospec import (
     Rank1Seminorm,
 )
 from anisospec.seminorms import seminorm_from_json, seminorm_to_json
-from conftest import compose
+from conftest import compose, oracle_quadratic_canonical
 
 
 def random_rotation(rng, d):
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     return Q
+
+
+def signed_zero_permutation(rng, d):
+    """A random permutation matrix with random signs on every entry, -0.0 included."""
+    P = np.eye(d)[rng.permutation(d)]
+    return np.copysign(P, rng.choice([-1.0, 1.0], size=(d, d)))
+
+
+def tied_rotation(rng, d):
+    """An orthogonal matrix with |entries| tied within a column: the 2 x 2
+    rotation by pi/4 or 3 pi/4 built from sqrt(1/2), so the ties are exact,
+    embedded at a random position for d = 3, with random column signs."""
+    c = math.sqrt(0.5)
+    B = np.array([[c, -c], [c, c]] if rng.uniform() < 0.5 else [[-c, -c], [c, -c]])
+    R = B if d == 2 else np.eye(3)
+    if d == 3:
+        i, j = sorted(rng.choice(3, size=2, replace=False))
+        R[np.ix_([i, j], [i, j])] = B
+    return R * rng.choice([-1.0, 1.0], size=d)
+
+
+def canonical_form_inputs(rng, count):
+    """(rotation, alphas) pairs for d = 1, 2, 3: random, signed-zero, tied
+    and family rotations (theta on a grid of pi/8, so pi/4 and 3 pi/4 too),
+    with alphas that are random, drawn from {0, -0, 0.5, 1} (ties and signed
+    zeros), already descending or ascending."""
+    for k in range(count):
+        d = 1 + k % 3
+        kind = k // 3 % 5
+        if kind == 0:
+            R = None
+        elif kind == 1:
+            R = random_rotation(rng, d)
+        elif kind == 2:
+            R = signed_zero_permutation(rng, d)
+        elif kind == 3 and d > 1:
+            R = tied_rotation(rng, d)
+        else:
+            t = int(rng.integers(8)) * math.pi / 8
+            R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]) if d == 2 else random_rotation(rng, d)
+        a = rng.uniform(0.0, 2.0, size=d) if k % 2 else rng.choice([0.0, -0.0, 0.5, 1.0], size=d)
+        order = k // 15 % 3
+        if order:
+            a = np.sort(a)[::-1] if order == 1 else np.sort(a)
+        yield R, (a.tolist() if k % 4 == 0 else a)
 
 
 class TestEvaluate:
@@ -193,6 +240,47 @@ class TestCanonicalForm:
             xi = rng.normal(size=3)
             direct = np.sqrt(np.sum((a * (R.T @ xi)) ** 2))
             assert H.evaluate(xi) == pytest.approx(direct, abs=1e-12, rel=1e-12)
+
+
+class TestCanonicalFormOracle:
+    def test_matches_numpy_canonical_form_bit_for_bit(self, rng):
+        # how many inputs were already canonical in each respect, and how many not
+        seen = {"descending": 0, "reordered": 0, "signs_kept": 0, "signs_changed": 0}
+        for R, a in canonical_form_inputs(rng, 1200):
+            H = QuadraticSeminorm(R, a)
+            alphas, rotation = oracle_quadratic_canonical(R, a)
+            assert H.alphas.tobytes() == alphas.tobytes()
+            assert H.rotation.tobytes() == rotation.tobytes()
+            assert H.alphas.shape == alphas.shape and H.rotation.shape == rotation.shape
+            seen["descending" if np.array_equal(alphas, a) else "reordered"] += 1
+            same_signs = R is None or np.array_equal(np.signbit(rotation), np.signbit(np.asarray(R)))
+            seen["signs_kept" if same_signs else "signs_changed"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize(
+        "rotation, alphas, message",
+        [
+            (None, [], "one-dimensional"),
+            (None, [[1.0, 0.5]], "one-dimensional"),
+            (None, [1.0, math.nan], "nonnegative and finite"),
+            (None, [math.inf, 1.0], "nonnegative and finite"),
+            (None, [1.0, -math.inf], "nonnegative and finite"),
+            (None, [1.0, -1e-300], "nonnegative and finite"),
+            ([[1.0, 0.0], [0.0, math.nan]], [1.0, 0.5], "rotation entries must be finite"),
+            ([[math.inf, 0.0], [0.0, 1.0]], [1.0, 0.5], "rotation entries must be finite"),
+            ([[1.0, 0.0], [0.0, -math.inf]], [1.0, 0.5], "rotation entries must be finite"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 0.5], "d x d"),
+            ([1.0, 0.0], [1.0, 0.5], "d x d"),
+            (np.eye(3), [1.0, 0.5], "d x d"),
+            ([[1.0, 0.1], [0.0, 1.0]], [1.0, 0.5], "orthogonal within 1e-12"),
+            ([[1.0 + 1e-11, 0.0], [0.0, 1.0]], [1.0, 0.5], "orthogonal within 1e-12"),
+            ([[2.0]], [1.0], "orthogonal within 1e-12"),
+        ],
+    )
+    def test_rejection_messages(self, rotation, alphas, message):
+        for build in (QuadraticSeminorm, oracle_quadratic_canonical):
+            with pytest.raises(InvalidSeminormError, match=message):
+                build(rotation, alphas)
 
 
 class TestValidation:
