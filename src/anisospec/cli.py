@@ -47,46 +47,29 @@ def canonical_json(obj) -> str:
     comes back from json.loads of the output prints to the same 13
     significant digits again.
     """
-    out: list = []
+    return _json_value(obj) + "\n"
 
-    def emit(v):
-        if v is None:
-            out.append("null")
-        elif isinstance(v, (bool, np.bool_)):
-            out.append("true" if v else "false")
-        elif isinstance(v, (int, np.integer)):
-            out.append(str(int(v)))
-        elif isinstance(v, (float, np.floating)):
-            f = float(v)
-            if not math.isfinite(f):
-                raise InputError("reports must not contain non-finite numbers")
-            out.append(format(f, ".12e"))
-        elif isinstance(v, str):
-            out.append(json.dumps(v))
-        elif isinstance(v, dict):
-            out.append("{")
-            for i, k in enumerate(sorted(v)):
-                if i:
-                    out.append(", ")
-                out.append(json.dumps(str(k)))
-                out.append(": ")
-                emit(v[k])
-            out.append("}")
-        elif isinstance(v, (list, tuple)):
-            out.append("[")
-            for i, x in enumerate(v):
-                if i:
-                    out.append(", ")
-                emit(x)
-            out.append("]")
-        elif isinstance(v, np.ndarray):
-            emit(v.tolist())
-        else:
-            raise InputError(f"cannot serialize {type(v).__name__}")
 
-    emit(obj)
-    out.append("\n")
-    return "".join(out)
+def _json_value(v) -> str:
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise InputError("reports must not contain non-finite numbers")
+        return format(float(v), ".12e")
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_value(v[k])}" for k in sorted(v)) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(map(_json_value, v)) + "]"
+    raise InputError(f"cannot serialize {type(v).__name__}")
 
 
 def _load_json_arg(text: str, label: str) -> dict:

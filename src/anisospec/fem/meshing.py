@@ -20,9 +20,13 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from ..errors import MeshError, SingularMapError
-from ..geometry import GEOM_TOL, Polygon2D, _cross2
+from ..geometry import GEOM_TOL, Polygon2D, _blocks, _cross2
 
 __all__ = ["TriMesh", "mesh_polygon"]
+
+# most cells (bounding-box area / target_h**2) the mesher may lay its lattice
+# over: 1.6e5 took 14.6 s and 723 MB
+_MAX_CELLS = 1e6
 
 
 @dataclass(frozen=True)
@@ -129,12 +133,6 @@ def _hex_grid(V: np.ndarray, s: float) -> np.ndarray:
         xs = np.arange(xmin + (s / 2.0 if k % 2 else s), xmax, s)
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
     return np.concatenate(rows)
-
-
-def _blocks(n_points: int, n_edges: int):
-    """Point slices of about 64k point-edge pairs: temporaries near 0.5 MB each."""
-    step = max(1, 65536 // n_edges)
-    return (slice(lo, lo + step) for lo in range(0, n_points, step))
 
 
 def _dist_to_outline(points: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -350,6 +348,8 @@ def mesh_polygon(polygon: Polygon2D, target_h: float) -> TriMesh:
     if not (target_h > 0.0) or not np.isfinite(target_h):
         raise MeshError("target_h must be positive")
     V = polygon.vertices
+    if np.prod(np.ptp(V, axis=0)) / target_h**2 > _MAX_CELLS:
+        raise MeshError(f"target_h = {target_h:g} is too small for this polygon: pass a larger --h")
     fast = _grid_delaunay(polygon, target_h)
     if fast is not None:
         nodes, triangles = _Refiner(fast[0], fast[1], target_h).run()

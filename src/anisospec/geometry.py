@@ -4,7 +4,8 @@ slicing solver.
 Conventions:
 
 * ``Polygon2D`` vertices are counter-clockwise, simple, first vertex not
-  repeated.
+  repeated. Every polygon is checked for all three when it is built,
+  including the ones ``ellipse_polygon`` and ``BoxD.to_polygon`` make.
 * ``slab_decomposition`` rotates the plane so the requested direction maps
   to the second coordinate axis; offsets are measured along the first axis of
   the rotated frame.
@@ -65,87 +66,77 @@ class Direction:
         return f"Direction({self.vector.tolist()})"
 
 
-def _shoelace(V: np.ndarray) -> float:
-    x, y = V[:, 0], V[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _blocks(n_rows: int, n_cols: int):
+    """Row slices of about 64k row-column pairs: temporaries near 0.5 MB each."""
+    step = max(1, 65536 // n_cols)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def _segment_pairs_intersect(p1, q1, P2, Q2, eps):
-    """True where segment (p1,q1) meets any of the segments (P2[i],Q2[i]).
+def _assert_simple(P: np.ndarray, Q: np.ndarray, eps: float) -> None:
+    """Raise unless no two non-adjacent edges (P[i], Q[i]) meet within eps.
 
-    Shared endpoints count as intersections; callers exclude adjacent edges.
+    A proper crossing and a touch (an endpoint within eps of the other
+    segment) both need the eps-widened bounding boxes to overlap, so only
+    those pairs go through the four orientation tests.
     """
-    r = q1 - p1
-    s = Q2 - P2
-    d1 = _cross2(s, p1 - P2)
-    d2 = _cross2(s, q1 - P2)
-    d3 = _cross2(r, P2 - p1)
-    d4 = _cross2(r, Q2 - p1)
-    proper = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & (
-        ((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps))
-    )
-    if np.any(proper):
-        return True
+    n = len(P)
+    lo, hi = np.minimum(P, Q) - eps, np.maximum(P, Q) + eps
 
-    # Touching or collinear-overlap cases: any endpoint lying on the other segment.
-    def on_segment(pt, A, B, d):
-        near_line = np.abs(d) <= eps
-        lo = np.minimum(A, B) - eps
-        hi = np.maximum(A, B) + eps
-        inside = np.all((pt >= lo) & (pt <= hi), axis=-1)
-        return near_line & inside
+    def opposite(a, b):
+        return ((a > eps) & (b < -eps)) | ((a < -eps) & (b > eps))
 
-    touch = (
-        on_segment(p1, P2, Q2, d1)
-        | on_segment(q1, P2, Q2, d2)
-        | on_segment(P2, p1, q1, d3)
-        | on_segment(Q2, p1, q1, d4)
-    )
-    return bool(np.any(touch))
+    def on_segment(pt, d, k):
+        inside = (pt >= lo[k]) & (pt <= hi[k])
+        return (np.abs(d) <= eps) & inside[:, 0] & inside[:, 1]
 
-
-def _assert_simple(V: np.ndarray, eps: float) -> None:
-    n = len(V)
-    P = V
-    Q = np.roll(V, -1, axis=0)
-    for i in range(n - 2):
-        j0 = i + 2
-        j1 = n - 1 if i == 0 else n
-        if j0 >= j1:
-            continue
-        if _segment_pairs_intersect(P[i], Q[i], P[j0:j1], Q[j0:j1], eps):
+    for blk in _blocks(n, n):
+        c = blk.start + 2
+        near = (lo[blk, None, 0] <= hi[c:, 0]) & (lo[c:, 0] <= hi[blk, None, 0])
+        i, j = np.nonzero(near & (lo[blk, None, 1] <= hi[c:, 1]) & (lo[c:, 1] <= hi[blk, None, 1]))
+        i, j = i + blk.start, j + c
+        # pairs j > i + 1 less the wrap pair (0, n - 1): the others share a vertex
+        keep = (j > i + 1) & ((i > 0) | (j < n - 1))
+        i, j = i[keep], j[keep]
+        p1, q1, P2, Q2 = P[i], Q[i], P[j], Q[j]
+        r, s = q1 - p1, Q2 - P2
+        d1, d2 = _cross2(s, p1 - P2), _cross2(s, q1 - P2)
+        d3, d4 = _cross2(r, P2 - p1), _cross2(r, Q2 - p1)
+        # touching or collinear overlap: an endpoint lying on the other segment
+        touch = on_segment(p1, d1, j) | on_segment(q1, d2, j) | on_segment(P2, d3, i) | on_segment(Q2, d4, i)
+        if np.any((opposite(d1, d2) & opposite(d3, d4)) | touch):
             raise InvalidDomainError("polygon edges intersect: not a simple polygon")
 
 
 class Polygon2D:
-    """Simple planar polygon, counter-clockwise, positive signed area."""
+    """Simple planar polygon, counter-clockwise, positive signed area: every
+    polygon is checked for all three when it is built."""
 
-    __slots__ = ("vertices", "is_convex", "fingerprint")
+    __slots__ = ("vertices", "area", "is_convex", "fingerprint")
 
-    def __init__(self, vertices, check_simple: bool = True):
+    def __init__(self, vertices):
         V = np.array(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
             raise InvalidDomainError("polygon needs an (n, 2) vertex array with n >= 3")
         if not np.all(np.isfinite(V)):
             raise InvalidDomainError("polygon vertices must be finite")
         scale = max(1.0, float(np.abs(V).max()))
-        gaps = np.linalg.norm(np.roll(V, -1, axis=0) - V, axis=1)
-        if np.any(gaps <= GEOM_TOL * scale):
+        Q = np.roll(V, -1, axis=0)
+        E = Q - V
+        if np.any(np.linalg.norm(E, axis=1) <= GEOM_TOL * scale):
             raise InvalidDomainError("polygon has repeated consecutive vertices")
         eps = GEOM_TOL * scale * scale
-        area2 = 2.0 * _shoelace(V)
+        area2 = float(np.sum(_cross2(V, Q)))
         if area2 <= eps:
             if area2 < -eps:
                 raise InvalidDomainError(
                     "polygon vertices must be counter-clockwise (signed area is negative)"
                 )
             raise InvalidDomainError("polygon is degenerate (zero signed area)")
-        if check_simple and len(V) > 3:
-            _assert_simple(V, eps)
-        E = np.roll(V, -1, axis=0) - V
+        _assert_simple(V, Q, eps)
         turns = _cross2(E, np.roll(E, -1, axis=0))
         V.flags.writeable = False
         self.vertices = V
+        self.area = 0.5 * area2
         self.is_convex = bool(np.all(turns >= -eps))
         # one bytes object per polygon, shared by every cache key built from it
         self.fingerprint = V.tobytes()
@@ -153,10 +144,6 @@ class Polygon2D:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    @property
-    def area(self) -> float:
-        return _shoelace(self.vertices)
 
     def __repr__(self):
         return f"Polygon2D(<{self.n_vertices} vertices>, area={self.area:.6g})"
@@ -170,7 +157,7 @@ def ellipse_polygon(a: float, b: float, n: int = 256) -> Polygon2D:
         raise InvalidDomainError("ellipse polygon needs n >= 3")
     ang = 2.0 * np.pi * np.arange(n) / n
     V = np.column_stack([a * np.cos(ang), b * np.sin(ang)])
-    return Polygon2D(V, check_simple=False)
+    return Polygon2D(V)
 
 
 class BoxD:
@@ -202,7 +189,7 @@ class BoxD:
         if self.dimension != 2:
             raise UnsupportedError("only 2-d boxes convert to polygons")
         (a0, b0), (a1, b1) = self.intervals
-        return Polygon2D([(a0, a1), (b0, a1), (b0, b1), (a0, b1)], check_simple=False)
+        return Polygon2D([(a0, a1), (b0, a1), (b0, b1), (a0, b1)])
 
     def __repr__(self):
         return f"BoxD({self.intervals.tolist()})"

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from anisospec import Polygon2D, QuadraticSeminorm, Rank1Seminorm, ellipse_polygon
-from anisospec.errors import InvalidSeminormError
+from anisospec.errors import InvalidDomainError, InvalidSeminormError
 from anisospec.geometry import rotation_to_vertical
 from anisospec.seminorms import SEMINORM_TOL
 
@@ -104,7 +104,7 @@ def linear_image(poly: Polygon2D, A) -> Polygon2D:
     """Image of a polygon under an invertible 2 x 2 map, counter-clockwise."""
     A = np.asarray(A, dtype=float)
     W = poly.vertices @ A.T
-    return Polygon2D(W[::-1] if np.linalg.det(A) < 0 else W, check_simple=False)
+    return Polygon2D(W[::-1] if np.linalg.det(A) < 0 else W)
 
 
 def compose(H, A):
@@ -203,3 +203,61 @@ def loop_points_in_polygon(points: np.ndarray, V: np.ndarray) -> np.ndarray:
             cross_x = (xj - xi) * (y - yi) / (yj - yi) + xi
         inside ^= cond & (x < cross_x)
     return inside
+
+
+# Per-edge loop version of geometry._assert_simple, as it was before the edge
+# pairs were tested in blocks: Polygon2D must accept exactly the polygons it
+# accepts.
+
+
+def _loop_cross2(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def loop_segment_pairs_intersect(p1, q1, P2, Q2, eps):
+    """True where segment (p1,q1) meets any of the segments (P2[i],Q2[i]).
+
+    Shared endpoints count as intersections; callers exclude adjacent edges.
+    """
+    r = q1 - p1
+    s = Q2 - P2
+    d1 = _loop_cross2(s, p1 - P2)
+    d2 = _loop_cross2(s, q1 - P2)
+    d3 = _loop_cross2(r, P2 - p1)
+    d4 = _loop_cross2(r, Q2 - p1)
+    proper = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & (
+        ((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps))
+    )
+    if np.any(proper):
+        return True
+
+    # Touching or collinear-overlap cases: any endpoint lying on the other segment.
+    def on_segment(pt, A, B, d):
+        near_line = np.abs(d) <= eps
+        lo = np.minimum(A, B) - eps
+        hi = np.maximum(A, B) + eps
+        inside = np.all((pt >= lo) & (pt <= hi), axis=-1)
+        return near_line & inside
+
+    touch = (
+        on_segment(p1, P2, Q2, d1)
+        | on_segment(q1, P2, Q2, d2)
+        | on_segment(P2, p1, q1, d3)
+        | on_segment(Q2, p1, q1, d4)
+    )
+    return bool(np.any(touch))
+
+
+def loop_assert_simple(V: np.ndarray, eps: float) -> None:
+    n = len(V)
+    P = V
+    Q = np.roll(V, -1, axis=0)
+    for i in range(n - 2):
+        j0 = i + 2
+        j1 = n - 1 if i == 0 else n
+        if j0 >= j1:
+            continue
+        if loop_segment_pairs_intersect(P[i], Q[i], P[j0:j1], Q[j0:j1], eps):
+            raise InvalidDomainError("polygon edges intersect: not a simple polygon")

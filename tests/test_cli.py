@@ -149,6 +149,20 @@ class TestEval:
         assert code == 3
         assert "interior" in err
 
+    def test_too_small_h_exits_3(self):
+        # 1e10 cells: refused before the mesher lays a lattice it cannot hold
+        code, out, err = run_cli(
+            [
+                "eval",
+                "--domain", SQUARE,
+                "--seminorm", '{"kind": "quadratic", "alphas": [1, 0.5]}',
+                "--q", "1",
+                "--h", "1e-5",
+            ]
+        )
+        assert (code, out) == (3, "")
+        assert "target_h = 1e-05 is too small" in err and "--h" in err
+
     def test_infinite_h_exits_2(self):
         # a mesh size is checked where the settings are built, before any route runs
         for seminorm in (AXIS_SEMINORM, '{"kind": "quadratic", "alphas": [1, 0.5]}'):

@@ -116,6 +116,13 @@ class TestMeshing:
             with pytest.raises(MeshError):
                 mesh_polygon(unit_square, bad)
 
+    def test_too_small_target_h(self):
+        # a sliver of area 500 is 2e5 cells of h = 0.05, but the lattice over
+        # its 1000 x 1000 bounding box would hold about 5e8 points
+        sliver = Polygon2D([(0.0, 0.0), (1000.0, 999.0), (1000.0, 1000.0)])
+        with pytest.raises(MeshError, match="target_h = 0.05 is too small"):
+            mesh_polygon(sliver, 0.05)
+
     def test_not_a_polygon(self):
         with pytest.raises(MeshError):
             mesh_polygon("square", 0.1)

@@ -22,7 +22,15 @@ from anisospec import (
     solve_rank1,
     unit_ball_volume,
 )
-from conftest import linear_image, point_in_polygon, random_convex_polygon, random_star_polygon, slice_polygon
+from anisospec.geometry import GEOM_TOL
+from conftest import (
+    linear_image,
+    loop_assert_simple,
+    point_in_polygon,
+    random_convex_polygon,
+    random_star_polygon,
+    slice_polygon,
+)
 
 
 def chord_lengths(dec, t: float) -> list:
@@ -109,6 +117,86 @@ class TestPolygonValidation:
     def test_vertices_immutable(self, unit_square):
         with pytest.raises(ValueError):
             unit_square.vertices[0, 0] = 9.0
+
+
+def _star(rng, n, r_min, r_max):
+    ang = (np.arange(n) + rng.uniform(0.1, 0.9, size=n)) * 2.0 * np.pi / n
+    rad = rng.uniform(r_min, r_max, size=n)
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+
+
+def _ccw(V):
+    x, y = V[:, 0], V[:, 1]
+    return V if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) >= 0 else V[::-1].copy()
+
+
+def simplicity_corpus(rng, rounds):
+    """Counter-clockwise vertex arrays, simple or not, at coordinate scales
+    1e-3 to 1e6: five per round, and a star every other round."""
+    for r in range(rounds):
+        s = 10.0 ** rng.integers(-3, 7)
+        # stars are accepted, so the loop oracle tests every edge pair: the
+        # dearest case. Convex ones (every vertex on the unit circle) and
+        # non-convex ones in turn.
+        if r % 2 == 0:
+            r_min, r_max = (1.0, 1.0) if r % 4 else (0.3, 1.5)
+            yield _ccw(s * _star(rng, int(rng.integers(4, 41)), r_min, r_max))
+        yield _ccw(s * rng.uniform(-1.0, 1.0, size=(int(rng.integers(4, 13)), 2)))
+        # a vertex moved onto a non-adjacent edge, then pushed off it by about eps
+        m = int(rng.integers(5, 17))
+        V = s * _star(rng, m, 0.3, 1.5)
+        i = int(rng.integers(m))
+        k = (i + int(rng.integers(2, m))) % m
+        E = V[(i + 1) % m] - V[i]
+        V[k] = V[i] + rng.uniform(0.05, 0.95) * E
+        yield _ccw(V.copy())
+        push = rng.choice([1e-13, 1e-12, 3e-12, 1e-11]) * rng.choice([-1.0, 1.0]) * max(1.0, float(np.abs(V).max()))
+        V[k] += push * np.array([-E[1], E[0]]) / np.linalg.norm(E)
+        yield _ccw(V)
+        # bowtie: two vertices of a convex polygon swapped
+        V = s * _star(rng, int(rng.integers(4, 17)), 1.0, 1.0)
+        a, b = rng.choice(len(V), size=2, replace=False)
+        V[[a, b]] = V[[b, a]]
+        yield _ccw(V)
+        # lattice points: exact collinear overlaps and touches
+        yield _ccw(s * rng.integers(0, 4, size=(int(rng.integers(4, 9)), 2)).astype(float))
+
+
+def _rejection(build, V):
+    try:
+        build(V)
+    except InvalidDomainError as exc:
+        return str(exc)
+    return None
+
+
+def _oracle(V):
+    scale = max(1.0, float(np.abs(V).max()))
+    loop_assert_simple(V, GEOM_TOL * scale * scale)
+
+
+class TestSimplicityOracle:
+    MSG = "polygon edges intersect: not a simple polygon"
+
+    def test_corpus_decisions_match_loop_oracle(self):
+        decided = rejected = 0
+        for V in simplicity_corpus(np.random.default_rng(17), 2000):
+            got = _rejection(Polygon2D, V)
+            if got not in (None, self.MSG):
+                continue  # repeated vertices or zero area: rejected before the simplicity test
+            assert got == _rejection(_oracle, V), V.tolist()
+            decided += 1
+            rejected += got is not None
+        assert decided >= 10_000
+        assert min(rejected, decided - rejected) >= 1_000
+
+    def test_generated_polygons_are_simple(self, rng):
+        # both generators build a Polygon2D, so each of these went through the check
+        for r in range(1, 81):
+            _oracle(ellipse_polygon(float(r), 1.0, 256).vertices)
+        for _ in range(20):
+            lo = rng.uniform(-1e3, 1e3, size=2)
+            _oracle(BoxD(np.column_stack([lo, lo + rng.uniform(1e-3, 1e3, size=2)])).to_polygon().vertices)
 
 
 class TestGenerators:
