@@ -36,6 +36,7 @@ from .errors import (
     InputError,
     InvalidDomainError,
     InvalidSeminormError,
+    SolverError,
     UnsupportedError,
 )
 from .geometry import (
@@ -48,7 +49,7 @@ from .geometry import (
 )
 from .memo import Memo
 from .seminorms import QuadraticSeminorm, Rank1Seminorm, Seminorm, SolverConfig, Spectral
-from .slicing import solve_rank1
+from .slicing import _rank1_scan, solve_rank1
 
 __all__ = [
     "BoundCheck",
@@ -173,12 +174,22 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
 
     # scale h with sqrt(ratio) so the element count stays roughly constant
     local = replace(cfg, target_h=cfg.target_h * math.sqrt(ratio))
+
+    def solve():
+        try:
+            polygon = ellipse_polygon(ratio, 1.0, _ELLIPSE_VERTICES)
+        except InvalidDomainError as exc:
+            # the polygon is ours, not the caller's: a failed check means the
+            # image ellipse is too thin for its inscribed polygon
+            raise SolverError(
+                f"the image ellipse of aspect ratio {ratio:.6g} is too thin to solve: "
+                f"its inscribed {_ELLIPSE_VERTICES}-gon fails the polygon checks ({exc})"
+            ) from exc
+        return lambda_euclid_fem(polygon, local)
+
     # 1e-9 key granularity: ratios reached through different scalings of the
     # same seminorm differ by float roundoff and must land in one bucket
-    return _ELLIPSE_LAMBDA.get_or(
-        (round(float(ratio), 9), cfg),
-        lambda: lambda_euclid_fem(ellipse_polygon(ratio, 1.0, _ELLIPSE_VERTICES), local),
-    )
+    return _ELLIPSE_LAMBDA.get_or((round(float(ratio), 9), cfg), solve)
 
 
 def _rank1_ellipsoid(domain: EllipsoidD, H: Rank1Seminorm) -> Spectral:
@@ -228,7 +239,8 @@ def _route(domain, H, cfg: SolverConfig) -> Spectral:
     """lambda_H and T_H through exactly one route: check dimensions, turn a
     2-D box under a quadratic H into its polygon, reduce a degenerate
     quadratic H to its rank-1 part, then dispatch on (domain type, seminorm
-    type)."""
+    type). The rank-1 optimizer's scan (_rank1_values) is the rank-1 polygon
+    route applied to many directions at once."""
     d = 2 if isinstance(domain, Polygon2D) else domain.dimension
     if H.dimension != d:
         raise InvalidSeminormError(f"the seminorm is {H.dimension}-dimensional, the domain {d}-dimensional")
@@ -257,6 +269,13 @@ def _route(domain, H, cfg: SolverConfig) -> Spectral:
     raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
 
 
+def _exponent(q) -> float:
+    q = float(q)
+    if not np.isfinite(q):
+        raise InputError("q must be finite")
+    return q
+
+
 def eval_F(domain, H: Seminorm, q: float, cfg: SolverConfig = SolverConfig()) -> FunctionalValue:
     """Evaluate lambda_H(Omega) * T_H(Omega)^q.
 
@@ -266,9 +285,7 @@ def eval_F(domain, H: Seminorm, q: float, cfg: SolverConfig = SolverConfig()) ->
     H is the caller's concern; the scaling laws make the product behave as
     t^(2-2q) under H -> tH.
     """
-    q = float(q)
-    if not np.isfinite(q):
-        raise InputError("q must be finite")
+    q = _exponent(q)
     sp = _spectral(domain, H, cfg)
     value = sp.lambda_ * sp.torsion**q
     # first-order propagation of the factor error onto the product
@@ -314,16 +331,12 @@ def _augment_directions(domain) -> np.ndarray:
         return np.array([math.atan2(R[1, j], R[0, j]) for j in range(2)])
     V = domain.vertices
     E = np.roll(V, -1, axis=0) - V
-    thetas = [np.arctan2(E[:, 1], E[:, 0]), np.arctan2(E[:, 0], -E[:, 1])]
-    n = len(V)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > 2048:
-        stride = len(pairs) // 2048 + 1
-        pairs = pairs[::stride]
-    if pairs:
-        D = V[[j for _, j in pairs]] - V[[i for i, _ in pairs]]
-        thetas.append(np.arctan2(D[:, 1], D[:, 0]))
-    return np.concatenate(thetas)
+    i, j = np.triu_indices(len(V), 1)
+    if len(i) > 2048:
+        stride = len(i) // 2048 + 1
+        i, j = i[::stride], j[::stride]
+    D = V[j] - V[i]
+    return np.concatenate([np.arctan2(E[:, 1], E[:, 0]), np.arctan2(E[:, 0], -E[:, 1]), np.arctan2(D[:, 1], D[:, 0])])
 
 
 def _golden(f, lo: float, hi: float, tol: float):
@@ -349,6 +362,26 @@ def _check_mode(mode: str) -> float:
     return 1.0 if mode == "min" else -1.0
 
 
+def _rank1_angles(domain) -> np.ndarray:
+    """The angles optimize_rank1 scans: 180 uniform ones and the domain's own
+    directions, folded into [0, pi) and deduplicated to 1e-12."""
+    base = np.arange(180) * (math.pi / 180.0)
+    thetas = np.concatenate([base, _augment_directions(domain) % math.pi])
+    return np.unique(np.round(thetas, 12))
+
+
+def _rank1_values(domain, thetas, cfg: SolverConfig) -> tuple:
+    """(lambdas, torsions) of the rank-1 seminorms at the angles thetas, the
+    values _spectral gives each of them: on a polygon one slicing pass over
+    all the angles, kept as one entry of the domain's memo; on an ellipse
+    each angle's closed form through _spectral."""
+    if isinstance(domain, EllipsoidD):
+        sps = [_spectral(domain, _rank1_direction(t), cfg) for t in thetas]
+        return [sp.lambda_ for sp in sps], [sp.torsion for sp in sps]
+    per_domain = _SPECTRAL.get_or(_domain_key(domain), lambda: Memo(8192))
+    return per_domain.get_or(("rank1-scan", thetas.tobytes()), lambda: _rank1_scan(domain, thetas))
+
+
 def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     """Best rank-1 seminorm direction for the product at exponent q.
 
@@ -359,18 +392,20 @@ def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     """
     domain = _as_planar_domain(domain)
     sign = _check_mode(mode)
+    q = _exponent(q)
     cfg = SolverConfig()
-    trace = []
+
+    thetas = _rank1_angles(domain)
+    lams, tors = _rank1_values(domain, thetas, cfg)
+    # the scan values are eval_F's, lambda * T**q on Python floats
+    trace = [(t % math.pi, lam * tor**q) for t, lam, tor in zip(thetas.tolist(), lams, tors)]
 
     def f(theta: float) -> float:
         val = eval_F(domain, _rank1_direction(theta), q, cfg).value
         trace.append((float(theta % math.pi), val))
         return sign * val
 
-    base = np.arange(180) * (math.pi / 180.0)
-    thetas = np.concatenate([base, _augment_directions(domain) % math.pi])
-    thetas = np.unique(np.round(thetas, 12))
-    values = np.array([f(t) for t in thetas])
+    values = np.array([sign * val for _, val in trace])
     i = int(np.argmin(values))
     lo = thetas[i - 1] if i > 0 else thetas[-1] - math.pi
     hi = thetas[i + 1] if i + 1 < len(thetas) else thetas[0] + math.pi

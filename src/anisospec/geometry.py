@@ -8,7 +8,7 @@ Conventions:
   including the ones ``ellipse_polygon`` and ``BoxD.to_polygon`` make.
 * ``slab_decomposition`` rotates the plane so the requested direction maps
   to the second coordinate axis; offsets are measured along the first axis of
-  the rotated frame.
+  the rotated frame. It takes one direction or an (m, 2) stack of them.
 * Geometric tolerances are ``GEOM_TOL = 1e-12``, absolute or scaled with the
   coordinate magnitude where noted.
 """
@@ -249,12 +249,24 @@ def rotation_to_vertical(omega) -> np.ndarray:
     return np.array([[w[1], -w[0]], [w[0], w[1]]])
 
 
-def _dedup_sorted(vals: np.ndarray, eps: float) -> np.ndarray:
-    if len(vals) == 0:
-        return vals
-    keep = np.ones(len(vals), dtype=bool)
-    keep[1:] = np.diff(vals) > eps
-    return vals[keep]
+def _rotations(omega) -> np.ndarray:
+    """(m, 2, 2) rotations, each sending one direction to the second axis:
+    omega is one direction (checked as rotation_to_vertical checks it) or an
+    (m, 2) stack of unit rows."""
+    if np.ndim(omega) != 2:
+        return rotation_to_vertical(omega)[None]
+    W = np.array(omega, dtype=float)
+    if W.shape[0] < 1 or W.shape[1] != 2:
+        raise InvalidDomainError("a direction stack must be an (m, 2) array with m >= 1")
+    if not np.all(np.isfinite(W)):
+        raise InvalidDomainError("direction entries must be finite")
+    if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > GEOM_TOL):
+        raise InvalidDomainError("every direction of a stack must have unit norm")
+    R = np.empty((len(W), 2, 2))
+    R[:, 0, 0] = R[:, 1, 1] = W[:, 1]
+    R[:, 0, 1] = -W[:, 0]
+    R[:, 1, 0] = W[:, 0]
+    return R
 
 
 @dataclass(frozen=True)
@@ -266,6 +278,10 @@ class SlabDecomposition:
     it is stored by its values at the slab endpoints (``len_lo`` at
     ``slab_lo``, ``len_hi`` at ``slab_hi``), which stays well conditioned for
     near-vertical edges where an intercept/slope form cancels catastrophically.
+
+    Components are ordered by direction row, slab and height. ``row`` holds
+    each component's direction row (all 0 for one direction); for a stack,
+    ``breakpoints`` concatenates the rows' breakpoints in row order.
     """
 
     breakpoints: np.ndarray
@@ -273,63 +289,119 @@ class SlabDecomposition:
     slab_hi: np.ndarray
     len_lo: np.ndarray
     len_hi: np.ndarray
+    row: np.ndarray
 
 
 def slab_decomposition(polygon: Polygon2D, omega) -> SlabDecomposition:
-    """Decompose the polygon into slabs between vertex projections.
+    """Decompose the polygon into slabs between vertex projections, for one
+    direction or for each row of an (m, 2) stack of directions.
 
-    The rotated frame maps omega to the second axis; slices run vertically and
-    are parameterized by the first-axis offset.
+    The rotated frame maps each direction to the second axis; slices run
+    vertically and are parameterized by the first-axis offset. Each row is
+    computed with the arithmetic of a lone direction, so its components are
+    the same bits whatever stack it sits in.
     """
-    R = rotation_to_vertical(omega)
-    V = polygon.vertices @ R.T
-    scale = max(1.0, float(np.abs(V).max()))
-    eps = GEOM_TOL * scale
-    xs = V[:, 0]
-    bps = _dedup_sorted(np.sort(xs), eps)
-    if len(bps) < 2:
+    # a stacked matmul gives the bits of one direction's V @ R.T
+    V = np.matmul(polygon.vertices, _rotations(omega).transpose(0, 2, 1))
+    m, n = V.shape[:2]
+    eps = GEOM_TOL * np.maximum(np.abs(V).max(axis=(1, 2)), 1.0)
+    px, py = V[..., 0], V[..., 1]
+    S = np.sort(px, axis=1)
+    keep = np.ones((m, n), dtype=bool)
+    keep[:, 1:] = S[:, 1:] - S[:, :-1] > eps[:, None]
+    n_bps = keep.sum(axis=1)
+    if (n_bps < 2).any():
         raise InvalidDomainError("polygon projection is degenerate in this direction")
-
-    px, py = V[:, 0], V[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    # the rows' breakpoints in one flat array: slab j runs from bps[j] to
+    # bps[j + 1]
+    bps = S[keep]
+    Vq = np.concatenate((V[:, 1:], V[:, :1]), axis=1)
+    qx, qy = Vq[..., 0], Vq[..., 1]
     dx = qx - px
-    nonvert = np.abs(dx) > eps
-    lo_e = np.minimum(px, qx)
-    hi_e = np.maximum(px, qx)
-
-    t0, t1 = bps[:-1], bps[1:]
-    tm = 0.5 * (t0 + t1)
-    cover = nonvert[:, None] & (lo_e[:, None] <= t0[None, :] + eps) & (hi_e[:, None] >= t1[None, :] - eps)
-    e_idx, s_idx = np.nonzero(cover)
-    if len(e_idx) == 0:
+    lo, hi = np.minimum(px, qx), np.maximum(px, qx)
+    # An edge covers the slabs j of its row with lo <= bps[j] + eps and
+    # bps[j + 1] - eps <= hi. Both sides are monotone in j, so the cover is
+    # one run a <= j < b.
+    e_col = eps[:, None]
+    if m == 1:
+        a = (bps + eps).searchsorted(lo)
+        b = (bps - eps).searchsorted(hi, side="right") - 1
+    else:
+        # Rows end at different places in bps, so no one search serves them
+        # all. Start from the breakpoints the edge's end vertices merged
+        # into, then step each end until its comparison flips there; b starts
+        # at a breakpoint no greater than hi, so it can only step up.
+        last = (n_bps.cumsum() - 1)[:, None]
+        first = last + 1 - n_bps[:, None]
+        group = np.empty((m, n), dtype=np.intp)
+        group[np.arange(m)[:, None], px.argsort(axis=1)] = first + keep.cumsum(axis=1) - 1
+        g_next = np.concatenate((group[:, 1:], group[:, :1]), axis=1)
+        a, b = np.minimum(group, g_next), np.maximum(group, g_next)
+        top = len(bps) - 1
+        while True:
+            a_down = (a > first) & (bps[a - 1] + e_col >= lo)
+            a_up = (a < last) & (bps[a] + e_col < lo)
+            b_up = (b < last) & (bps[np.minimum(b + 1, top)] - e_col <= hi)
+            if not (a_down | a_up | b_up).any():
+                break
+            a += a_up.astype(np.intp) - a_down
+            b += b_up
+    runs = np.where((np.abs(dx) > e_col) & (b > a), b - a, 0)
+    if (runs.sum(axis=1) == 0).any():
         raise InvalidDomainError("no edges cross the slab structure; polygon is degenerate")
 
-    def edge_y(edges, ts):
+    # one crossing per (edge, covered slab), edges in flat (row, edge) order
+    runs = runs.ravel()
+    (edges,) = runs.nonzero()
+    k = runs[edges]
+    e_idx = edges.repeat(k)
+    s_idx = (a.ravel()[edges] - (k.cumsum() - k)).repeat(k) + np.arange(len(e_idx))
+    # slab by slab; stable, so a slab's crossings stay in edge order. Keys
+    # of 16 bits or fewer take NumPy's radix sort.
+    order = s_idx.astype(np.min_scalar_type(len(bps))).argsort(kind="stable")
+    e_idx, s_idx = e_idx[order], s_idx[order]
+    counts = np.bincount(s_idx, minlength=len(bps))
+    if (counts % 2 != 0).any():
+        raise InvalidDomainError("odd crossing count in a slab; polygon is not simple here")
+
+    # flat (row, edge) views, which e_idx indexes
+    px, py = V.reshape(-1, 2).T
+    qy, dx = Vq.reshape(-1, 2)[:, 1], dx.ravel()
+
+    def edge_y(edges, *ts):
         # convex-combination interpolation along each edge: stable even for
         # steep edges, where slope-intercept evaluation loses digits
-        s = (ts - px[edges]) / dx[edges]
-        return (1.0 - s) * py[edges] + s * qy[edges]
+        x0, d, y0, y1 = px[edges], dx[edges], py[edges], qy[edges]
+        for t in ts:
+            s = (t - x0) / d
+            yield (1.0 - s) * y0 + s * y1
 
-    order = np.lexsort((edge_y(e_idx, tm[s_idx]), s_idx))
-    e_sorted = e_idx[order]
-    s_sorted = s_idx[order]
-    counts = np.bincount(s_sorted, minlength=len(t0))
-    if np.any(counts % 2 != 0):
-        raise InvalidDomainError("odd crossing count in a slab; polygon is not simple here")
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    rank = np.arange(len(s_sorted)) - starts[s_sorted]
-    lo_mask = rank % 2 == 0
-    e_lo = e_sorted[lo_mask]
-    e_hi = e_sorted[~lo_mask]
-    s_comp = s_sorted[lo_mask]
-    len_lo = edge_y(e_hi, t0[s_comp]) - edge_y(e_lo, t0[s_comp])
-    len_hi = edge_y(e_hi, t1[s_comp]) - edge_y(e_lo, t1[s_comp])
+    # order each slab's crossings by height at its middle, ties in edge
+    # order: one compare for two crossings, a sort for more. Every slab
+    # starts at an even position, so a pair's first crossing sits at one.
+    t0, t1 = bps[s_idx], bps[s_idx + 1]
+    (y,) = edge_y(e_idx, 0.5 * (t0 + t1))
+    per = counts[s_idx]
+    pair = 2 * (per[0::2] == 2).nonzero()[0]
+    swap = pair[y[pair + 1] < y[pair]]
+    e_idx[swap], e_idx[swap + 1] = e_idx[swap + 1], e_idx[swap]
+    (many,) = (per > 2).nonzero()
+    if len(many):
+        # complex keys (slab, height) compare by slab, then height: a stable
+        # argsort of them is a lexsort in one pass
+        key = np.empty(len(many), dtype=complex)
+        key.real, key.imag = s_idx[many], y[many]
+        e_idx[many] = e_idx[many][key.argsort(kind="stable")]
+
+    # consecutive crossings bound one component: lower edge, then upper
+    y0, y1 = edge_y(e_idx, t0, t1)
     return SlabDecomposition(
         breakpoints=bps,
-        slab_lo=t0[s_comp],
-        slab_hi=t1[s_comp],
-        len_lo=np.maximum(len_lo, 0.0),
-        len_hi=np.maximum(len_hi, 0.0),
+        slab_lo=t0[0::2],
+        slab_hi=t1[0::2],
+        len_lo=np.maximum(y0[1::2] - y0[0::2], 0.0),
+        len_hi=np.maximum(y1[1::2] - y1[0::2], 0.0),
+        row=e_idx[0::2] // n,
     )
 
 

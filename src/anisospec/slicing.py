@@ -14,6 +14,8 @@ T_{tH} = t^-2 T_H.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidDomainError, InvalidSeminormError
@@ -31,24 +33,56 @@ def solve_rank1(polygon: Polygon2D, H: Rank1Seminorm) -> Spectral:
         raise InvalidSeminormError("solve_rank1 expects a Rank1Seminorm")
     if H.dimension != 2:
         raise InvalidSeminormError("polygon slicing needs a two-dimensional seminorm")
-    t = H.operator_norm
     dec = slab_decomposition(polygon, H.direction)
-
-    l0, l1 = dec.len_lo, dec.len_hi
-    width = max(float(l0.max()), float(l1.max()), 0.0)
-    if width <= 0.0:
-        raise InvalidDomainError("polygon has zero width in this direction")
-
-    # integral of the affine length cubed over each slab, in the symmetric
-    # endpoint form: (t1-t0) (l0^3 + l0^2 l1 + l0 l1^2 + l1^3) / 4
-    integral = float(
-        np.sum((dec.slab_hi - dec.slab_lo) * (l0**3 + l0**2 * l1 + l0 * l1**2 + l1**3))
-        / 48.0
-    )
+    ((lam, tor),) = _reduce(dec, [H.operator_norm])
     return Spectral(
-        lambda_=t**2 * np.pi**2 / width**2,
-        torsion=integral / t**2,
+        lambda_=lam,
+        torsion=tor,
         lambda_provenance="slicing",
         torsion_provenance="slicing",
         breakpoints_used=len(dec.breakpoints),
     )
+
+
+def _reduce(dec, norms: list) -> list:
+    """(lambda, T) of each direction row of a decomposition, for the seminorm
+    of operator norm norms[row] along it.
+
+    Each row is reduced on its own: its longest chord, one sum over its own
+    contiguous torsion terms and the scaling on Python floats, so a row gives
+    the same bits alone as in a stack.
+    """
+    l0, l1 = dec.len_lo, dec.len_hi
+    # integral of the affine length cubed over each slab, in the symmetric
+    # endpoint form: (t1-t0) (l0^3 + l0^2 l1 + l0 l1^2 + l1^3) / 4
+    terms = (dec.slab_hi - dec.slab_lo) * (l0**3 + l0**2 * l1 + l0 * l1**2 + l1**3)
+    bounds = dec.row.searchsorted(np.arange(len(norms) + 1)).tolist()
+    widths = np.maximum.reduceat(np.maximum(l0, l1), bounds[:-1]).tolist()
+    out = []
+    for t, width, lo, hi in zip(norms, widths, bounds, bounds[1:]):
+        width = max(width, 0.0)
+        if width <= 0.0:
+            raise InvalidDomainError("polygon has zero width in this direction")
+        integral = float(terms[lo:hi].sum() / 48.0)
+        out.append((t**2 * np.pi**2 / width**2, integral / t**2))
+    return out
+
+
+def _rank1_scan(polygon: Polygon2D, thetas) -> tuple:
+    """(lambdas, torsions) of H = |<x, (cos theta, sin theta)>| at every theta,
+    the same bits solve_rank1 gives for each H alone."""
+    eta = np.array([(math.cos(t), math.sin(t)) for t in thetas])
+    # operator norms and unit directions as Rank1Seminorm computes them:
+    # np.linalg.norm(eta) is the square root of eta.dot(eta)
+    norms = [math.sqrt(w.dot(w)) for w in eta]
+    units = eta / np.array(norms)[:, None]
+    out = []
+    lo, rows = 0, 1
+    while lo < len(units):
+        dec = slab_decomposition(polygon, units[lo : lo + rows])
+        out += _reduce(dec, norms[lo : lo + rows])
+        lo += rows
+        # blocks of about 4k components, 8k chord crossings, sized by the
+        # last block: larger ones raise peak memory and gain no speed
+        rows = max(1, 4096 * rows // len(dec.len_lo))
+    return [lam for lam, _ in out], [tor for _, tor in out]

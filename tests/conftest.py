@@ -4,7 +4,7 @@ from scipy.spatial import ConvexHull
 
 from anisospec import Polygon2D, QuadraticSeminorm, Rank1Seminorm, ellipse_polygon
 from anisospec.errors import InvalidDomainError, InvalidSeminormError
-from anisospec.geometry import rotation_to_vertical
+from anisospec.geometry import GEOM_TOL, rotation_to_vertical
 from anisospec.seminorms import SEMINORM_TOL
 
 
@@ -261,3 +261,67 @@ def loop_assert_simple(V: np.ndarray, eps: float) -> None:
             continue
         if loop_segment_pairs_intersect(P[i], Q[i], P[j0:j1], Q[j0:j1], eps):
             raise InvalidDomainError("polygon edges intersect: not a simple polygon")
+
+
+# geometry.slab_decomposition for one direction as it was before it took
+# direction stacks: every edge tested against every slab in one dense cover
+# matrix, each slab's crossings ordered by one lexsort. The stacked kernel
+# must give its records bit for bit.
+
+
+def dense_slab_decomposition(poly: Polygon2D, omega) -> tuple:
+    """(breakpoints, slab_lo, slab_hi, len_lo, len_hi) of one direction."""
+    V = poly.vertices @ rotation_to_vertical(omega).T
+    scale = max(1.0, float(np.abs(V).max()))
+    eps = GEOM_TOL * scale
+    xs = np.sort(V[:, 0])
+    keep = np.ones(len(xs), dtype=bool)
+    keep[1:] = np.diff(xs) > eps
+    bps = xs[keep]
+    px, py = V[:, 0], V[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    dx = qx - px
+    nonvert = np.abs(dx) > eps
+    lo_e = np.minimum(px, qx)
+    hi_e = np.maximum(px, qx)
+    t0, t1 = bps[:-1], bps[1:]
+    tm = 0.5 * (t0 + t1)
+    cover = nonvert[:, None] & (lo_e[:, None] <= t0[None, :] + eps) & (hi_e[:, None] >= t1[None, :] - eps)
+    e_idx, s_idx = np.nonzero(cover)
+
+    def edge_y(edges, ts):
+        s = (ts - px[edges]) / dx[edges]
+        return (1.0 - s) * py[edges] + s * qy[edges]
+
+    order = np.lexsort((edge_y(e_idx, tm[s_idx]), s_idx))
+    e_sorted = e_idx[order]
+    s_sorted = s_idx[order]
+    counts = np.bincount(s_sorted, minlength=len(t0))
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    rank = np.arange(len(s_sorted)) - starts[s_sorted]
+    lo_mask = rank % 2 == 0
+    e_lo = e_sorted[lo_mask]
+    e_hi = e_sorted[~lo_mask]
+    s_comp = s_sorted[lo_mask]
+    len_lo = edge_y(e_hi, t0[s_comp]) - edge_y(e_lo, t0[s_comp])
+    len_hi = edge_y(e_hi, t1[s_comp]) - edge_y(e_lo, t1[s_comp])
+    return bps, t0[s_comp], t1[s_comp], np.maximum(len_lo, 0.0), np.maximum(len_hi, 0.0)
+
+
+# functional._augment_directions for polygons as it was before its vertex
+# pairs came from np.triu_indices: the optimizer must scan the same angles.
+
+
+def loop_augment_directions(poly: Polygon2D) -> np.ndarray:
+    V = poly.vertices
+    E = np.roll(V, -1, axis=0) - V
+    thetas = [np.arctan2(E[:, 1], E[:, 0]), np.arctan2(E[:, 0], -E[:, 1])]
+    n = len(V)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if len(pairs) > 2048:
+        stride = len(pairs) // 2048 + 1
+        pairs = pairs[::stride]
+    if pairs:
+        D = V[[j for _, j in pairs]] - V[[i for i, _ in pairs]]
+        thetas.append(np.arctan2(D[:, 1], D[:, 0]))
+    return np.concatenate(thetas)

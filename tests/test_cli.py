@@ -149,6 +149,15 @@ class TestEval:
         assert code == 3
         assert "interior" in err
 
+    def test_too_thin_image_ellipse_exits_3(self):
+        # alphas (1, 1e-8) turn the disc into an ellipse of aspect ratio 1e8,
+        # whose inscribed polygon cannot pass the polygon checks: a solver
+        # failure, not a bad domain
+        seminorm = '{"kind": "quadratic", "alphas": [1, 1e-8]}'
+        code, out, err = run_cli(["eval", "--domain", DISC, "--seminorm", seminorm, "--q", "1"])
+        assert (code, out) == (3, "")
+        assert "aspect ratio 1e+08" in err
+
     def test_too_small_h_exits_3(self):
         # 1e10 cells: refused before the mesher lays a lattice it cannot hold
         code, out, err = run_cli(

@@ -22,12 +22,17 @@ from anisospec.errors import (
 )
 from anisospec.fem import SolverConfig
 from anisospec.functional import (
+    _augment_directions,
+    _rank1_angles,
+    _rank1_direction,
     eval_F,
     optimize_quadratic,
     optimize_rank1,
     q_sweep,
     verify_bounds,
 )
+from anisospec.slicing import _rank1_scan
+from conftest import loop_augment_directions, random_convex_polygon, random_star_polygon
 
 J01_SQUARED = 5.783185962946785  # first Dirichlet eigenvalue of the unit disc
 PI_CUBED_OVER_16 = math.pi**3 / 16.0
@@ -218,6 +223,42 @@ class TestOptimizeRank1:
     def test_rejects_bad_mode(self):
         with pytest.raises(InputError):
             optimize_rank1(DISC, 1.0, "avg")
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 256])
+def test_augment_directions_match_pair_loop(n):
+    # 65 and 256 vertices have more than 2048 pairs, so the pairs are strided
+    poly = ellipse_polygon(1.0, 0.5, n)
+    assert _augment_directions(poly).tobytes() == loop_augment_directions(poly).tobytes()
+
+
+def _scan_polygons():
+    rng = np.random.default_rng(7)
+    yield "triangle", Polygon2D([(0, 0), (1, 0), (0.3, 0.8)])
+    yield "convex", random_convex_polygon(rng, 40)
+    yield "ellipse-256", ellipse_polygon(1.0, 0.4, 256)
+    for n in (5, 64):
+        yield f"star-{n}", random_star_polygon(rng, n)
+    # a 256-gon with eight notches: every 32nd vertex pulled in towards the centre
+    ang = 2.0 * np.pi * np.arange(256) / 256
+    r = np.where(np.arange(256) % 32 == 0, 0.6, 1.0)
+    yield "notched-256", Polygon2D(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+    yield "L", Polygon2D([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    yield "U", Polygon2D([(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("name, poly", list(_scan_polygons()))
+def test_rank1_scan_is_eval_F_bit_for_bit(name, poly):
+    # the vertex-pair angles put two vertex projections within GEOM_TOL of
+    # each other, where the slab structure is most fragile
+    q = 1.3
+    thetas = _rank1_angles(poly)
+    lams, tors = _rank1_scan(poly, thetas)
+    report = optimize_rank1(poly, q, "min")
+    for i, theta in enumerate(thetas.tolist()):
+        fv = eval_F(poly, _rank1_direction(theta), q)
+        assert (fv.lambda_, fv.torsion) == (lams[i], tors[i])
+        assert report.trace[i] == (theta % math.pi, fv.value)
 
 
 @pytest.fixture(scope="class")

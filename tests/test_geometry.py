@@ -24,6 +24,7 @@ from anisospec import (
 )
 from anisospec.geometry import GEOM_TOL
 from conftest import (
+    dense_slab_decomposition,
     linear_image,
     loop_assert_simple,
     point_in_polygon,
@@ -367,6 +368,65 @@ class TestSlabDecomposition:
         dec = slab_decomposition(u_shape, (1.0, 0.0))
         # slabs along y: [0,1] one component, [1,2] two components
         assert len(dec.len_lo) == 3
+
+
+def _named_angles(poly) -> np.ndarray:
+    """Edge directions, edge normals and vertex-pair directions: the angles
+    at which two vertex projections fall within GEOM_TOL of each other."""
+    V = poly.vertices
+    E = np.roll(V, -1, axis=0) - V
+    i, j = np.triu_indices(len(V), 1)
+    D = V[j] - V[i]
+    return np.concatenate([np.arctan2(E[:, 1], E[:, 0]), np.arctan2(E[:, 0], -E[:, 1]), np.arctan2(D[:, 1], D[:, 0])])
+
+
+def _slab_polygons(rng, l_shape, u_shape, unit_square):
+    yield from (unit_square, l_shape, u_shape, ellipse_polygon(1.0, 0.4, 64))
+    for n in (3, 5, 9, 24):
+        yield random_star_polygon(rng, n)
+    for _ in range(3):
+        yield random_convex_polygon(rng, 20)
+
+
+class TestSlabStack:
+    def test_one_direction_matches_dense_cover_oracle(self, rng, l_shape, u_shape, unit_square):
+        for poly in _slab_polygons(rng, l_shape, u_shape, unit_square):
+            for th in np.concatenate([_named_angles(poly), rng.uniform(0, np.pi, 20)]).tolist():
+                w = (math.cos(th), math.sin(th))
+                dec = slab_decomposition(poly, w)
+                fields = (dec.breakpoints, dec.slab_lo, dec.slab_hi, dec.len_lo, dec.len_hi)
+                for got, want in zip(fields, dense_slab_decomposition(poly, w)):
+                    assert got.tobytes() == want.tobytes()
+                assert not dec.row.any()
+
+    def test_stack_rows_are_the_single_records(self, rng, l_shape, u_shape, unit_square):
+        for poly in _slab_polygons(rng, l_shape, u_shape, unit_square):
+            th = np.concatenate([_named_angles(poly)[:40], rng.uniform(0, np.pi, 10)])
+            W = np.column_stack([np.cos(th), np.sin(th)])
+            stack = slab_decomposition(poly, W)
+            singles = [slab_decomposition(poly, w) for w in W]
+            assert stack.breakpoints.tobytes() == np.concatenate([d.breakpoints for d in singles]).tobytes()
+            assert np.array_equal(stack.row, np.repeat(np.arange(len(W)), [len(d.len_lo) for d in singles]))
+            for f in ("slab_lo", "slab_hi", "len_lo", "len_hi"):
+                assert getattr(stack, f).tobytes() == np.concatenate([getattr(d, f) for d in singles]).tobytes()
+
+    def test_breakpoint_chain_wider_than_tol(self):
+        # x projections 0, 1.5e-12 and 3e-12 merge into one breakpoint at 0
+        # (each step is within eps = 2e-12), but the edge from (1, 0.5) to
+        # x = 3e-12 ends more than eps from it and covers no slab: one
+        # crossing is left over
+        poly = Polygon2D([(0, 0), (1, 0.5), (3e-12, 2), (1.5e-12, 1)])
+        for omega in ((0.0, 1.0), [(1.0, 0.0), (0.0, 1.0)]):
+            with pytest.raises(InvalidDomainError, match="odd crossing count"):
+                slab_decomposition(poly, omega)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [np.zeros((0, 2)), np.ones((2, 3)) / math.sqrt(3.0), [[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [math.nan, 0.0]]],
+    )
+    def test_bad_stack_rejected(self, unit_square, stack):
+        with pytest.raises(InvalidDomainError):
+            slab_decomposition(unit_square, stack)
 
 
 class TestDirectionalWidth:

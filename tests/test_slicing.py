@@ -149,3 +149,29 @@ class TestConvexUpperBound:
             th = rng.uniform(0, 2 * np.pi)
             r = solve_rank1(poly, Rank1Seminorm([np.cos(th), np.sin(th)]))
             assert r.lambda_ * r.torsion <= np.pi**2 * poly.area / 12.0 + 1e-10
+
+
+class TestThinSlab:
+    # perfbench quad-polygon seed 9944, op 30: a 7-gon whose smallest slab at
+    # this angle is 1.27e-8 wide
+    VERTICES = [
+        (0.5874083415937575, 0.14977783021080923),
+        (0.008379493505454761, 0.1991410044593999),
+        (-0.3879087223676969, 0.522318935991664),
+        (-0.3436131453368723, 0.05163763081583132),
+        (-0.4471452682894113, -0.4572414443430995),
+        (0.024911075073388182, -0.23976649606874445),
+        (0.5579682258213802, -0.22586746106586053),
+    ]
+    THETA = 1.6646294797064818
+    # the longest chord from a 50-digit chord sweep (mpmath) of the same
+    # polygon and direction, rounded to a double
+    LAMBDA = 11.743967957054432
+
+    def test_lambda_to_roundoff(self):
+        poly = Polygon2D(self.VERTICES)
+        H = Rank1Seminorm((np.cos(self.THETA), np.sin(self.THETA)))
+        dec = slab_decomposition(poly, H.direction)
+        assert np.min(dec.slab_hi - dec.slab_lo) < 2e-8
+        lam = solve_rank1(poly, H).lambda_
+        assert abs(lam - self.LAMBDA) / self.LAMBDA <= 1e-14
