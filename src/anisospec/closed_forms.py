@@ -108,6 +108,8 @@ def rank1_box(box: BoxD, axis: int = -1) -> tuple[float, float]:
         raise InvalidDomainError("rank1_box expects a BoxD")
     w = box.widths
     d = box.dimension
+    if not isinstance(axis, (int, np.integer)) or not -d <= axis < d:
+        raise InvalidDomainError(f"axis must be an integer in [{-d}, {d}), got {axis!r}")
     axis = axis % d
     L = float(w[axis])
     rest = float(np.prod(np.delete(w, axis))) if d > 1 else 1.0

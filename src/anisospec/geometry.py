@@ -9,6 +9,9 @@ Conventions:
 * ``slab_decomposition`` rotates the plane so the requested direction maps
   to the second coordinate axis; offsets are measured along the first axis of
   the rotated frame. It takes one direction or an (m, 2) stack of them.
+  Vertex projections within eps of the previous one merge into one
+  breakpoint, and an edge covers exactly the slabs between its two end
+  vertices' breakpoints.
 * Geometric tolerances are ``GEOM_TOL = 1e-12``, absolute or scaled with the
   coordinate magnitude where noted.
 """
@@ -153,8 +156,8 @@ def ellipse_polygon(a: float, b: float, n: int = 256) -> Polygon2D:
     """n-gon inscribed in the axis-aligned ellipse with semi-axes (a, b)."""
     if a <= 0 or b <= 0:
         raise InvalidDomainError("ellipse semi-axes must be positive")
-    if n < 3:
-        raise InvalidDomainError("ellipse polygon needs n >= 3")
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise InvalidDomainError("ellipse polygon needs an integer n >= 3")
     ang = 2.0 * np.pi * np.arange(n) / n
     V = np.column_stack([a * np.cos(ang), b * np.sin(ang)])
     return Polygon2D(V)
@@ -297,56 +300,38 @@ def slab_decomposition(polygon: Polygon2D, omega) -> SlabDecomposition:
     direction or for each row of an (m, 2) stack of directions.
 
     The rotated frame maps each direction to the second axis; slices run
-    vertically and are parameterized by the first-axis offset. Each row is
-    computed with the arithmetic of a lone direction, so its components are
-    the same bits whatever stack it sits in.
+    vertically and are parameterized by the first-axis offset. Sorted vertex
+    projections merge into one breakpoint while each is within eps of the one
+    before, and an edge covers exactly the slabs between the breakpoints of
+    its two end vertices; one direction and a stack take the same rule. Each
+    row is computed with the arithmetic of a lone direction, so its components
+    are the same bits whatever stack it sits in.
     """
     # a stacked matmul gives the bits of one direction's V @ R.T
     V = np.matmul(polygon.vertices, _rotations(omega).transpose(0, 2, 1))
     m, n = V.shape[:2]
     eps = GEOM_TOL * np.maximum(np.abs(V).max(axis=(1, 2)), 1.0)
     px, py = V[..., 0], V[..., 1]
-    S = np.sort(px, axis=1)
+    # sorted projections and the vertex order that sorts them, from one argsort
+    rows, by_x = np.arange(m)[:, None], px.argsort(axis=1)
+    S = px[rows, by_x]
     keep = np.ones((m, n), dtype=bool)
     keep[:, 1:] = S[:, 1:] - S[:, :-1] > eps[:, None]
-    n_bps = keep.sum(axis=1)
-    if (n_bps < 2).any():
+    if (keep.sum(axis=1) < 2).any():
         raise InvalidDomainError("polygon projection is degenerate in this direction")
     # the rows' breakpoints in one flat array: slab j runs from bps[j] to
     # bps[j + 1]
     bps = S[keep]
+    # Each vertex belongs to the breakpoint its projection merged into (a
+    # row's first sorted vertex is always kept, so a flat count of kept ones
+    # is that breakpoint's index in bps). An edge covers exactly the slabs
+    # between its two end vertices' breakpoints, a <= j < a + runs.
+    group = np.empty((m, n), dtype=np.intp)
+    group[rows, by_x] = keep.cumsum().reshape(m, n) - 1
+    g_next = np.concatenate((group[:, 1:], group[:, :1]), axis=1)
+    a, runs = np.minimum(group, g_next), np.abs(g_next - group)
     Vq = np.concatenate((V[:, 1:], V[:, :1]), axis=1)
-    qx, qy = Vq[..., 0], Vq[..., 1]
-    dx = qx - px
-    lo, hi = np.minimum(px, qx), np.maximum(px, qx)
-    # An edge covers the slabs j of its row with lo <= bps[j] + eps and
-    # bps[j + 1] - eps <= hi. Both sides are monotone in j, so the cover is
-    # one run a <= j < b.
-    e_col = eps[:, None]
-    if m == 1:
-        a = (bps + eps).searchsorted(lo)
-        b = (bps - eps).searchsorted(hi, side="right") - 1
-    else:
-        # Rows end at different places in bps, so no one search serves them
-        # all. Start from the breakpoints the edge's end vertices merged
-        # into, then step each end until its comparison flips there; b starts
-        # at a breakpoint no greater than hi, so it can only step up.
-        last = (n_bps.cumsum() - 1)[:, None]
-        first = last + 1 - n_bps[:, None]
-        group = np.empty((m, n), dtype=np.intp)
-        group[np.arange(m)[:, None], px.argsort(axis=1)] = first + keep.cumsum(axis=1) - 1
-        g_next = np.concatenate((group[:, 1:], group[:, :1]), axis=1)
-        a, b = np.minimum(group, g_next), np.maximum(group, g_next)
-        top = len(bps) - 1
-        while True:
-            a_down = (a > first) & (bps[a - 1] + e_col >= lo)
-            a_up = (a < last) & (bps[a] + e_col < lo)
-            b_up = (b < last) & (bps[np.minimum(b + 1, top)] - e_col <= hi)
-            if not (a_down | a_up | b_up).any():
-                break
-            a += a_up.astype(np.intp) - a_down
-            b += b_up
-    runs = np.where((np.abs(dx) > e_col) & (b > a), b - a, 0)
+    dx = Vq[..., 0] - px
     if (runs.sum(axis=1) == 0).any():
         raise InvalidDomainError("no edges cross the slab structure; polygon is degenerate")
 

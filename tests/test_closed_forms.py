@@ -165,6 +165,15 @@ class TestRank1Box:
         assert lam == pytest.approx(np.pi**2)
         assert tor == pytest.approx(6.0 / 12.0)
 
+    def test_negative_axis_counts_from_the_end(self):
+        box = BoxD([[0, 1], [0, 2]])
+        assert rank1_box(box, axis=-2) == rank1_box(box, axis=0)
+
+    @pytest.mark.parametrize("axis", [2, 5, -3, 1.5, np.float64(1.0)])
+    def test_bad_axis_rejected(self, axis):
+        with pytest.raises(InvalidDomainError, match="axis"):
+            rank1_box(BoxD([[0, 1], [0, 2]]), axis=axis)
+
 
 class TestQuadraticBall:
     def test_euclidean(self):

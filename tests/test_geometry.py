@@ -22,7 +22,9 @@ from anisospec import (
     solve_rank1,
     unit_ball_volume,
 )
+from anisospec.functional import _rank1_angles
 from anisospec.geometry import GEOM_TOL
+from anisospec.slicing import _reduce
 from conftest import (
     dense_slab_decomposition,
     linear_image,
@@ -207,6 +209,11 @@ class TestGenerators:
             p = ellipse_polygon(1.0, 1.0, n)
             assert p.area == pytest.approx(0.5 * n * np.sin(2 * np.pi / n), rel=1e-12)
             assert p.is_convex
+
+    @pytest.mark.parametrize("n", [3.5, 4.0, "8"])
+    def test_ellipse_polygon_rejects_non_integer_n(self, n):
+        with pytest.raises(InvalidDomainError, match="integer"):
+            ellipse_polygon(1, 1, n)
 
     def test_ellipse_polygon_area_converges(self):
         p = ellipse_polygon(2.0, 1.0, n=256)
@@ -411,14 +418,42 @@ class TestSlabStack:
                 assert getattr(stack, f).tobytes() == np.concatenate([getattr(d, f) for d in singles]).tobytes()
 
     def test_breakpoint_chain_wider_than_tol(self):
-        # x projections 0, 1.5e-12 and 3e-12 merge into one breakpoint at 0
-        # (each step is within eps = 2e-12), but the edge from (1, 0.5) to
-        # x = 3e-12 ends more than eps from it and covers no slab: one
-        # crossing is left over
+        # Along (0, 1) the x projections 0, 1.5e-12 and 3e-12 merge into one
+        # breakpoint at 0 (each step is within eps = 2e-12) though the run
+        # spans more than eps. An edge covers the slabs between its end
+        # vertices' breakpoints, so the edge from (1, 0.5) to x = 3e-12 still
+        # covers the one slab, and the polygon, within 3e-12 of the triangle,
+        # slices as the triangle does.
         poly = Polygon2D([(0, 0), (1, 0.5), (3e-12, 2), (1.5e-12, 1)])
-        for omega in ((0.0, 1.0), [(1.0, 0.0), (0.0, 1.0)]):
-            with pytest.raises(InvalidDomainError, match="odd crossing count"):
-                slab_decomposition(poly, omega)
+        triangle = Polygon2D([(0, 0), (1, 0.5), (0, 2)])
+        W = np.array([(0.0, 1.0), (1.0, 0.0), (0.6, 0.8)])
+        stack = _reduce(slab_decomposition(poly, W), [1.0] * len(W))
+        for w, (lam, tor) in zip(W, stack):
+            want = solve_rank1(triangle, Rank1Seminorm(w))
+            got = solve_rank1(poly, Rank1Seminorm(w))
+            assert (got.lambda_, got.torsion, lam, tor) == pytest.approx((want.lambda_, want.torsion) * 2, rel=1e-9)
+
+    def test_merge_within_tol_matches_dense_cover_oracle(self):
+        # the left edge leans by 4e-13: along the scanned angle nearest pi/2
+        # its ends project about eps / 2 apart and merge into one breakpoint
+        poly = Polygon2D([(0, 0), (1, 0), (1, 1), (4e-13, 1)])
+        th = _rank1_angles(poly)
+        W = np.column_stack([np.cos(th), np.sin(th)])
+        up = np.abs(th - math.pi / 2).argmin()
+        gap = abs(float((poly.vertices[3] - poly.vertices[0]) @ rotation_to_vertical(W[up])[0]))
+        assert 0.4 * GEOM_TOL < gap < 0.6 * GEOM_TOL
+        stack = slab_decomposition(poly, W)
+        dense = [dense_slab_decomposition(poly, w) for w in W]
+        assert len(dense[up][0]) == 2
+        for w, want_fields in zip(W, dense):
+            single = slab_decomposition(poly, w)
+            fields = (single.breakpoints, single.slab_lo, single.slab_hi, single.len_lo, single.len_hi)
+            for got, want in zip(fields, want_fields):
+                assert got.tobytes() == want.tobytes()
+        assert stack.breakpoints.tobytes() == np.concatenate([d[0] for d in dense]).tobytes()
+        assert np.array_equal(stack.row, np.repeat(np.arange(len(W)), [len(d[3]) for d in dense]))
+        for k, f in enumerate(("slab_lo", "slab_hi", "len_lo", "len_hi"), start=1):
+            assert getattr(stack, f).tobytes() == np.concatenate([d[k] for d in dense]).tobytes()
 
     @pytest.mark.parametrize(
         "stack",
