@@ -182,6 +182,12 @@ def _levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
 _ASSEMBLIES = Memo(1)
 
 
+def _polygon_levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
+    """The polygon's `_levels` under cfg, built once while it is the last
+    polygon solved."""
+    return _ASSEMBLIES.get_or((polygon.fingerprint, cfg.target_h, cfg.richardson), lambda: _levels(polygon, cfg))
+
+
 def _lowest(K, M, lu, u):
     """(lambda, y, M y), the lowest eigenpair of K y = lambda M y, by Lanczos
     on K^-1 M (self-adjoint in the M inner product) from u. A step is one LU
@@ -310,6 +316,5 @@ def solve_quadratic(
         raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
     if codim == 1:
         raise InvalidSeminormError("solve_quadratic needs a nondegenerate seminorm (eval_F slices a rank-1 one)")
-    levels = _ASSEMBLIES.get_or((polygon.fingerprint, cfg.target_h, cfg.richardson), lambda: _levels(polygon, cfg))
-    lam, tor, h_used, err_lam, err_tor, prov = _fem(levels, H.gram())
+    lam, tor, h_used, err_lam, err_tor, prov = _fem(_polygon_levels(polygon, cfg), H.gram())
     return Spectral(lam, tor, prov, prov, error_estimate=max(err_lam, err_tor), h_used=h_used)

@@ -382,6 +382,43 @@ def _rank1_values(domain, thetas, cfg: SolverConfig) -> tuple:
     return per_domain.get_or(("rank1-scan", thetas.tobytes()), lambda: _rank1_scan(domain, thetas))
 
 
+def _quadratic_values(domain, thetas, alphas, cfg: SolverConfig) -> tuple:
+    """(lambdas, torsions) of the family seminorms _family_seminorm(t, a),
+    one row per angle t in thetas and one column per coefficient a in alphas,
+    the values _spectral gives each of them. On a polygon one pass, kept as
+    one entry of the domain's memo: the a = 0 cells come from one rank-1
+    scan (_rank1_values), every other cell from one `_fem` solve of its Gram
+    matrix on the polygon's assemblies; on an ellipse each cell goes through
+    _spectral."""
+    if isinstance(domain, EllipsoidD):
+        sps = [[_spectral(domain, _family_seminorm(t, a), cfg) for a in alphas.tolist()] for t in thetas.tolist()]
+        return [[sp.lambda_ for sp in row] for row in sps], [[sp.torsion for sp in row] for row in sps]
+    per_domain = _SPECTRAL.get_or(_domain_key(domain), lambda: Memo(8192))
+    key = ("quadratic-grid", thetas.tobytes(), alphas.tobytes(), cfg)
+    return per_domain.get_or(key, lambda: _quadratic_grid(domain, thetas, alphas, cfg))
+
+
+def _quadratic_grid(polygon: Polygon2D, thetas, alphas, cfg: SolverConfig) -> tuple:
+    from .fem.solver import _fem, _polygon_levels  # the FEM layer (and SciPy) loads on first use
+
+    r1_lams, r1_tors = _rank1_values(polygon, thetas, cfg)
+    levels = _polygon_levels(polygon, cfg)
+    lams, tors = [], []
+    for i, t in enumerate(thetas.tolist()):
+        # R and diag(alphas**2) as QuadraticSeminorm.gram() multiplies them;
+        # its canonical form may negate a column of R, which leaves every
+        # product, and so Q, bit for bit the same
+        c, s = math.cos(t), math.sin(t)
+        R = np.array([[c, -s], [s, c]])
+        cells = [
+            (r1_lams[i], r1_tors[i]) if a == 0.0 else _fem(levels, R @ np.diag(np.array([1.0, a]) ** 2) @ R.T)[:2]
+            for a in alphas.tolist()
+        ]
+        lams.append([lam for lam, _ in cells])
+        tors.append([tor for _, tor in cells])
+    return lams, tors
+
+
 def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     """Best rank-1 seminorm direction for the product at exponent q.
 
@@ -438,28 +475,40 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
 
     Coarse 36 x 21 grid over (theta, alpha), alpha = 0 evaluated by the exact
     degenerate route, then alternating golden-section refinement in each
-    parameter until both updates fall below 1e-4. Tiny alpha is snapped to the
-    rank-1 boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids, where the
+    parameter until both updates fall below 1e-4. On a polygon the grid is
+    solved in one pass on the polygon's assembly (_quadratic_values), which
+    a sweep over exponents solves once. Tiny alpha is snapped to the rank-1
+    boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids, where the
     stretched eigensolve stops paying for itself), and the boundary flag
     reports alpha* = 0.
     """
     domain = _as_planar_domain(domain)
     sign = _check_mode(mode)
+    q = _exponent(q)
     if cfg is None:
         cfg = _default_quadratic_cfg(domain)
     floor = _ALPHA_FLOOR_ELLIPSOID if isinstance(domain, EllipsoidD) else _ALPHA_FLOOR
-    trace = []
+
+    def snap(alpha) -> float:
+        return 0.0 if alpha < floor else min(float(alpha), 1.0)
 
     def f(theta: float, alpha: float) -> float:
-        theta = float(theta % math.pi)
-        alpha = 0.0 if alpha < floor else min(float(alpha), 1.0)
+        theta, alpha = float(theta % math.pi), snap(alpha)
         val = eval_F(domain, _family_seminorm(theta, alpha), q, cfg).value
         trace.append(((theta, alpha), val))
         return sign * val
 
     theta_grid = np.arange(36) * (math.pi / 36.0)
     alpha_grid = np.linspace(0.0, 1.0, 21)
-    grid_vals = np.array([[f(t, a) for a in alpha_grid] for t in theta_grid])
+    alphas = np.array([snap(a) for a in alpha_grid])
+    lams, tors = _quadratic_values(domain, theta_grid, alphas, cfg)
+    # the grid values are eval_F's, lambda * T**q, in theta-major order
+    trace = [
+        ((t, a), float(lam * tor**q))
+        for t, lam_row, tor_row in zip(theta_grid.tolist(), lams, tors)
+        for a, lam, tor in zip(alphas.tolist(), lam_row, tor_row)
+    ]
+    grid_vals = np.array([sign * val for _, val in trace]).reshape(len(theta_grid), len(alphas))
     it, ia = np.unravel_index(int(np.argmin(grid_vals)), grid_vals.shape)
     theta, alpha = float(theta_grid[it]), float(alpha_grid[ia])
 

@@ -325,3 +325,66 @@ def loop_augment_directions(poly: Polygon2D) -> np.ndarray:
         D = V[[j for _, j in pairs]] - V[[i for i, _ in pairs]]
         thetas.append(np.arctan2(D[:, 1], D[:, 0]))
     return np.concatenate(thetas)
+
+
+# functional.optimize_quadratic as it was before its grid was solved in one
+# pass: every (theta, alpha) grid cell evaluated alone through eval_F. The
+# one-pass grid must give its values, trace and optimum bit for bit.
+
+
+def loop_quadratic_values(domain, thetas, alphas, q: float, cfg) -> tuple:
+    """(lambdas, torsions, values), one row per theta, each cell by eval_F alone."""
+    from anisospec.functional import _family_seminorm, eval_F
+
+    fvs = [[eval_F(domain, _family_seminorm(t, a), q, cfg) for a in alphas.tolist()] for t in thetas.tolist()]
+    return tuple([[getattr(fv, name) for fv in row] for row in fvs] for name in ("lambda_", "torsion", "value"))
+
+
+def loop_optimize_quadratic(domain, q: float, mode: str = "min", cfg=None):
+    """(theta, alpha, value, boundary_flag, trace) of the grid-cell loop."""
+    import math
+
+    from anisospec.functional import (
+        _ALPHA_FLOOR,
+        _ALPHA_FLOOR_ELLIPSOID,
+        _as_planar_domain,
+        _check_mode,
+        _default_quadratic_cfg,
+        _family_seminorm,
+        _golden,
+        eval_F,
+    )
+    from anisospec.geometry import EllipsoidD
+
+    domain = _as_planar_domain(domain)
+    sign = _check_mode(mode)
+    if cfg is None:
+        cfg = _default_quadratic_cfg(domain)
+    floor = _ALPHA_FLOOR_ELLIPSOID if isinstance(domain, EllipsoidD) else _ALPHA_FLOOR
+    trace = []
+
+    def f(theta, alpha):
+        theta = float(theta % math.pi)
+        alpha = 0.0 if alpha < floor else min(float(alpha), 1.0)
+        val = eval_F(domain, _family_seminorm(theta, alpha), q, cfg).value
+        trace.append(((theta, alpha), val))
+        return sign * val
+
+    theta_grid = np.arange(36) * (math.pi / 36.0)
+    alpha_grid = np.linspace(0.0, 1.0, 21)
+    grid_vals = np.array([[f(t, a) for a in alpha_grid] for t in theta_grid])
+    it, ia = np.unravel_index(int(np.argmin(grid_vals)), grid_vals.shape)
+    theta, alpha = float(theta_grid[it]), float(alpha_grid[ia])
+    d_theta, d_alpha = math.pi / 36.0, 0.05
+    for _ in range(24):
+        new_alpha, _ = _golden(lambda a: f(theta, a), max(0.0, alpha - d_alpha), min(1.0, alpha + d_alpha), 1e-5)
+        new_alpha = 0.0 if new_alpha < floor else float(new_alpha)
+        new_theta, _ = _golden(lambda t: f(t, new_alpha), theta - d_theta, theta + d_theta, 1e-5)
+        moved = max(abs(new_alpha - alpha), abs(new_theta - theta))
+        theta, alpha = float(new_theta % math.pi), new_alpha
+        d_theta = max(d_theta / 3.0, 1e-5)
+        d_alpha = max(d_alpha / 3.0, 1e-5)
+        if moved < 1e-4:
+            break
+    (best_theta, best_alpha), best_val = min(trace, key=lambda e: (sign * e[1], e[0]))
+    return float(best_theta), float(best_alpha), float(best_val), best_alpha == 0.0, tuple(trace)

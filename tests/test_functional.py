@@ -13,6 +13,7 @@ from anisospec import (
     Rank1Seminorm,
     ellipse_polygon,
 )
+from anisospec import functional
 from anisospec.closed_forms import m_tilde_q_ellipsoid
 from anisospec.errors import (
     DegenerateSeminormError,
@@ -20,9 +21,10 @@ from anisospec.errors import (
     InvalidSeminormError,
     UnsupportedError,
 )
-from anisospec.fem import SolverConfig
+from anisospec.fem import SolverConfig, solver
 from anisospec.functional import (
     _augment_directions,
+    _quadratic_values,
     _rank1_angles,
     _rank1_direction,
     eval_F,
@@ -32,7 +34,13 @@ from anisospec.functional import (
     verify_bounds,
 )
 from anisospec.slicing import _rank1_scan
-from conftest import loop_augment_directions, random_convex_polygon, random_star_polygon
+from conftest import (
+    loop_augment_directions,
+    loop_optimize_quadratic,
+    loop_quadratic_values,
+    random_convex_polygon,
+    random_star_polygon,
+)
 
 J01_SQUARED = 5.783185962946785  # first Dirichlet eigenvalue of the unit disc
 PI_CUBED_OVER_16 = math.pi**3 / 16.0
@@ -259,6 +267,49 @@ def test_rank1_scan_is_eval_F_bit_for_bit(name, poly):
         fv = eval_F(poly, _rank1_direction(theta), q)
         assert (fv.lambda_, fv.torsion) == (lams[i], tors[i])
         assert report.trace[i] == (theta % math.pi, fv.value)
+
+
+def _grid_polygons():
+    # about area 0.5, as the optimizer's benchmark polygons: about 50 interior
+    # nodes at h = 0.12 (the dense branch) and about 200 on the refinement
+    rng = np.random.default_rng(20)
+    yield "convex", random_convex_polygon(rng, 9, 0.45)
+    yield "star", random_star_polygon(rng, 7, 0.3, 0.6)
+
+
+@pytest.mark.parametrize("name, poly", list(_grid_polygons()))
+@pytest.mark.parametrize("richardson", [False, True])
+def test_quadratic_grid_is_eval_F_bit_for_bit(name, poly, richardson):
+    # angles on both sides of pi/4 and 3pi/4, where the canonical form
+    # negates one column of the rotation or the other
+    cfg = SolverConfig(target_h=0.12, richardson=richardson)
+    levels = solver._polygon_levels(poly, cfg)
+    assert [a.dense is not None for a in levels] == ([True, False] if richardson else [True])
+    thetas = np.arange(12) * (math.pi / 12.0)
+    alphas = np.array([0.0, 0.05, 0.35, 1.0])
+    lams, tors = _quadratic_values(poly, thetas, alphas, cfg)
+    assert (lams, tors) == loop_quadratic_values(poly, thetas, alphas, 1.0, cfg)[:2]
+
+
+@pytest.mark.parametrize("domain", [random_star_polygon(np.random.default_rng(21), 6, 0.3, 0.6), EllipsoidD([1.0, 1.0])])
+def test_optimize_quadratic_matches_grid_cell_loop(domain):
+    report = optimize_quadratic(domain, 1.05, "min")
+    theta, alpha, value, flag, trace = loop_optimize_quadratic(domain, 1.05, "min")
+    assert (report.theta, report.alpha, report.value, report.boundary_flag) == (theta, alpha, value, flag)
+    assert report.trace == trace
+
+
+def test_q_sweep_solves_the_quadratic_grid_once(monkeypatch):
+    grids, fems = [], []
+    grid, fem = functional._quadratic_grid, solver._fem
+    monkeypatch.setattr(functional, "_quadratic_grid", lambda *a: grids.append(a) or grid(*a))
+    monkeypatch.setattr(solver, "_fem", lambda *a: fems.append(a) or fem(*a))
+    poly = random_star_polygon(np.random.default_rng(22), 6, 0.3, 0.6)
+    sweep = q_sweep(poly, [0.9, 1.0, 1.1], "min")
+    assert len(grids) == 1
+    # 720 grid cells with alpha > 0 once, then only golden-section points
+    refinements = sum(len(report.trace) - 36 * 21 for report in sweep.reports)
+    assert 720 <= len(fems) <= 720 + refinements
 
 
 @pytest.fixture(scope="class")

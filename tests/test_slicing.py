@@ -168,6 +168,36 @@ class TestThinSlab:
     # polygon and direction, rounded to a double
     LAMBDA = 11.743967957054432
 
+    # lambda and T from 60-digit chord sweeps (mpmath) with the direction
+    # (cos theta, sin theta) also taken at 60 digits: the polygon above, and
+    # perfbench quad-polygon seed 10023, op 30, a 5-gon whose smallest slab
+    # at this angle is 2.8e-9 wide. Both angles are optima of the quadratic
+    # optimizer on the rank-1 boundary. The benchmark's checks.rank1_exact,
+    # which rebuilds the slab-end chords from two Gauss points, misses both
+    # lambdas by more than 1e-9 relative, where the library is right
+    PINNED = {
+        "seed-9944": (VERTICES, THETA, 11.743967957054432417, 0.013794301263499008250),
+        "seed-10023": (
+            [
+                (-0.5304898707219606, -0.4716385738559799),
+                (0.11756152952764792, -0.17962846898901577),
+                (0.7467173144239169, -0.0802614873936516),
+                (0.07491989544003631, 0.15075145154542555),
+                (-0.4087088686696404, 0.5807770786932216),
+            ],
+            0.1566431142731426,
+            6.1152534796818023933,
+            0.026929606099352806943,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_both_factors_to_roundoff(self, case):
+        vertices, theta, lam, tor = self.PINNED[case]
+        sp = solve_rank1(Polygon2D(vertices), Rank1Seminorm((np.cos(theta), np.sin(theta))))
+        assert abs(sp.lambda_ - lam) / lam <= 1e-14
+        assert abs(sp.torsion - tor) / tor <= 1e-14
+
     def test_lambda_to_roundoff(self):
         poly = Polygon2D(self.VERTICES)
         H = Rank1Seminorm((np.cos(self.THETA), np.sin(self.THETA)))
