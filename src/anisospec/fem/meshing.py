@@ -10,17 +10,24 @@ quality-greedy ear clipping. Either way, longest-edge bisection (LEPP walks)
 then refines every triangle whose longest edge exceeds the target. Uniform
 midpoint refinement is kept separately for nested mesh pairs (error
 estimation by comparing h and h/2 on nested spaces).
+
+The outline tests measure each point only against the edges that can reach
+it: the crossing-number test against the edges whose y-range holds the
+point, the distance against the edges whose bounding box, widened by the
+distance that matters, holds it; sorting the points finds both by binary
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from ..errors import MeshError, SingularMapError
-from ..geometry import GEOM_TOL, Polygon2D, _blocks, _cross2
+from ..geometry import GEOM_TOL, Polygon2D, _cross2
 
 __all__ = ["TriMesh", "mesh_polygon"]
 
@@ -135,33 +142,82 @@ def _hex_grid(V: np.ndarray, s: float) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _dist_to_outline(points: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Distance from each point to the polygon outline (min over edges)."""
-    Dx, Dy = (np.roll(V, -1, axis=0) - V).T
+# most (point, edge) pairs an outline kernel measures at once: each pair
+# holds about ten index and coordinate temporaries, so a chunk takes about
+# the memory (0.6 MB) a 64k-entry block of the dense points x edges test did
+_PAIRS = 8192
+
+
+def _pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, side: str):
+    """(edge, point) index pairs, edge by edge, of the points whose key k has
+    lo[edge] <= k < hi[edge] (k <= hi[edge] when side is "right"), in chunks
+    of at most _PAIRS pairs. With the keys sorted, two binary searches give
+    each edge's run of points."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    start, stop = np.searchsorted(sorted_keys, lo), np.searchsorted(sorted_keys, hi, side=side)
+    del sorted_keys  # not held while the chunks are
+    end = np.cumsum(stop - start)
+    shift = stop - end
+    total = int(end[-1]) if len(end) else 0
+    for first in range(0, total, _PAIRS):
+        k = np.arange(first, min(first + _PAIRS, total))
+        e = np.searchsorted(end, k, side="right")
+        k += shift[e]
+        yield e, order[k]
+
+
+def _dist_to_outline(points: np.ndarray, V: np.ndarray, reach: float) -> np.ndarray:
+    """Distance from each point to the polygon outline (min over edges): exact
+    wherever it is at most `reach`, at least the exact distance elsewhere, and
+    inf where no edge comes that close.
+
+    An edge is measured only against the points in its bounding box widened by
+    reach and a margin rounding cannot cross: the points in the box's x-range,
+    then a test on y."""
+    Q = np.roll(V, -1, axis=0)
+    Dx, Dy = (Q - V).T
     L2 = np.maximum(Dx * Dx + Dy * Dy, 1e-300)
-    out = np.empty(len(points))
-    for blk in _blocks(len(points), len(V)):
-        gx, gy = points[blk, :1] - V[:, 0], points[blk, 1:] - V[:, 1]
-        t = np.clip((gx * Dx + gy * Dy) / L2, 0.0, 1.0)
-        # in place: each (points x edges) temporary costs more than its arithmetic
-        gx -= t * Dx
-        gy -= t * Dy
-        # sqrt is monotone and correctly rounded, so this is the min of the gaps
-        out[blk] = np.sqrt((gx * gx + gy * gy).min(axis=1))
-    return out
+    pad = reach * (1.0 + 1e-6) + 1e-12 * max(1.0, float(np.abs(V).max()))
+    lo, hi = np.minimum(V, Q) - pad, np.maximum(V, Q) + pad
+    gap2 = np.full(len(points), np.inf)
+    for e, p in _pairs(points[:, 0], lo[:, 0], hi[:, 0], "right"):
+        y = points[p, 1]
+        box = (lo[e, 1] <= y) & (y <= hi[e, 1])
+        if not box.any():
+            continue
+        e, p = e[box], p[box]
+        gx, gy = points[p, 0] - V[e, 0], y[box] - V[e, 1]
+        t = np.clip((gx * Dx[e] + gy * Dy[e]) / L2[e], 0.0, 1.0)
+        gx -= t * Dx[e]
+        gy -= t * Dy[e]
+        # each point's smallest gap: its pairs side by side, then one reduceat
+        by_point = np.argsort(p, kind="stable")
+        p = p[by_point]
+        first = np.flatnonzero(np.diff(p, prepend=-1))
+        smallest = np.minimum.reduceat((gx * gx + gy * gy)[by_point], first)
+        gap2[p[first]] = np.minimum(gap2[p[first]], smallest)
+    # sqrt is monotone and correctly rounded, so this is the min of the gaps
+    return np.sqrt(gap2)
 
 
 def _points_in_polygon(points: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Crossing-number test. A point within rounding of the outline may land on
-    either side; the protect band or the area-tiling check catches it."""
+    """Crossing-number test. A point can cross only the edges whose y-range
+    [min, max) holds its y, so only those pairs are tested. A point within
+    rounding of the outline may land on either side; the protect band or the
+    area-tiling check catches it."""
     xi, yi = V[:, 0], V[:, 1]
     xj, yj = np.roll(xi, 1), np.roll(yi, 1)
-    inside = np.empty(len(points), dtype=bool)
-    for blk in _blocks(len(points), len(V)):
-        x, y = points[blk, :1], points[blk, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross_x = (xj - xi) * (y - yi) / (yj - yi) + xi
-        inside[blk] = np.count_nonzero(((yi > y) != (yj > y)) & (x < cross_x), axis=1) % 2 == 1
+    dx, dy = xj - xi, yj - yi
+    inside = np.zeros(len(points), dtype=bool)
+    for e, p in _pairs(points[:, 1], np.minimum(yi, yj), np.maximum(yi, yj), "left"):
+        # (xj - xi) * (y - yi) / (yj - yi) + xi, operation by operation
+        cross_x = points[p, 1] - yi[e]
+        cross_x *= dx[e]
+        cross_x /= dy[e]
+        cross_x += xi[e]
+        hit, count = np.unique(p[points[p, 0] < cross_x], return_counts=True)
+        inside[hit] ^= count % 2 == 1
     return inside
 
 
@@ -174,7 +230,7 @@ def _grid_delaunay(polygon: Polygon2D, target_h: float):
     protect = 0.55 * seg.max()
     cand = _hex_grid(V, 0.95 * target_h)
     cand = cand[_points_in_polygon(cand, V)]
-    cand = cand[_dist_to_outline(cand, V) >= protect]
+    cand = cand[_dist_to_outline(cand, V, protect) >= protect]
     pts = np.vstack([boundary, cand])
     if len(pts) < 3:
         return None
@@ -270,13 +326,46 @@ class _Refiner:
         P = nodes[triangles]
         area = 0.5 * float(np.abs(_cross2(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])).sum())
         self.budget = 64 * (len(triangles) + 16) + int(64.0 * area / self.target2) + 100000
+        # each triangle's edges (a, b), (b, c), (c, a) by the places of their
+        # low and high corner in the flat corner list, with the squared lengths
+        # _add takes, then the longest of each by the lexicographic (length,
+        # pair) key that makes ties deterministic
+        flat = triangles.ravel()
+        rows = np.arange(len(triangles))
+        first = np.arange(flat.size).reshape(-1, 3)
+        second = np.roll(first, -1, axis=1)
+        swap = flat[first] > flat[second]
+        lo_at, hi_at = np.where(swap, second, first), np.where(swap, first, second)
+        lo, hi = flat[lo_at], flat[hi_at]
+        d = nodes[lo] - nodes[hi]
+        length2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        best = np.zeros(len(triangles), dtype=np.intp)
+        for k in (1, 2):
+            l2, a, b = length2[rows, best], lo[rows, best], hi[rows, best]
+            tie = (length2[:, k] == l2) & ((lo[:, k] > a) | ((lo[:, k] == a) & (hi[:, k] > b)))
+            best[(length2[:, k] > l2) | tie] = k
+        # the edges hold the corners' own int objects, and the dicts one int
+        # object a triangle id, as _add's tuples do: no more objects than the
+        # one-triangle-at-a-time set-up kept
+        corners = flat.tolist()
+        edges = list(zip(map(corners.__getitem__, lo_at.ravel().tolist()), map(corners.__getitem__, hi_at.ravel().tolist())))
+        tids = rows.tolist()
         # id -> (longest edge's squared length, that edge, triangle); ids only
         # grow, so the dict's order is id order
-        self.tris: dict[int, tuple] = {}
+        self.tris: dict[int, tuple] = dict(
+            zip(
+                tids,
+                zip(
+                    length2[rows, best].tolist(),
+                    list(map(edges.__getitem__, first[rows, best].tolist())),
+                    zip(corners[0::3], corners[1::3], corners[2::3]),
+                ),
+            )
+        )
         self.edge_map: dict[tuple[int, int], list[int]] = {}
-        self.next_tid = 0
-        for t in triangles.tolist():
-            self._add(tuple(t))
+        for e, tid in zip(edges, chain.from_iterable(zip(tids, tids, tids))):
+            self.edge_map.setdefault(e, []).append(tid)
+        self.next_tid = len(triangles)
 
     @staticmethod
     def _edges(t):
@@ -357,7 +446,7 @@ def mesh_polygon(polygon: Polygon2D, target_h: float) -> TriMesh:
         # accept only if the topological boundary is exactly the set of nodes
         # sitting on the outline (guards against hanging boundary points)
         scale = max(1.0, float(np.abs(V).max()))
-        on_outline = _dist_to_outline(candidate.nodes, V) <= 1e-9 * scale
+        on_outline = _dist_to_outline(candidate.nodes, V, 1e-9 * scale) <= 1e-9 * scale
         flagged = np.zeros(candidate.n_nodes, dtype=bool)
         flagged[candidate.boundary_nodes] = True
         if np.array_equal(on_outline, flagged):

@@ -12,8 +12,12 @@ form, then slicing, then FEM) and searches two normalized families:
 where u = (cos t, sin t). Fixing the larger coefficient to 1 keeps the
 operator norm at 1, and a = 0 is exactly the rank-1 boundary of the family.
 
-`_route` is the one place that picks the route, and `_spectral` memoizes it
-for the domain being evaluated. Degenerate quadratics (one alpha = 0) are
+`_route` picks the route of one evaluation, and `_spectral` memoizes it for
+the domain being evaluated. It is not the only code that picks a route: the
+optimizers' grid passes dispatch on the domain themselves, `_rank1_values`
+to one slicing scan of a polygon's directions and `_quadratic_values` (with
+`_quadratic_grid`) to one solve per cell on a polygon's assemblies, each
+with the bits `_route` would give. Degenerate quadratics (one alpha = 0) are
 exactly rank-1 and go to the exact slicing solver or to a closed form; the
 zero seminorm is rejected as a distinguished error.
 """
@@ -239,8 +243,10 @@ def _route(domain, H, cfg: SolverConfig) -> Spectral:
     """lambda_H and T_H through exactly one route: check dimensions, turn a
     2-D box under a quadratic H into its polygon, reduce a degenerate
     quadratic H to its rank-1 part, then dispatch on (domain type, seminorm
-    type). The rank-1 optimizer's scan (_rank1_values) is the rank-1 polygon
-    route applied to many directions at once."""
+    type). Two grid passes dispatch on their own, with the same bits: the
+    rank-1 scan (_rank1_values) is the rank-1 polygon route applied to many
+    directions at once, and the quadratic grid (_quadratic_values,
+    _quadratic_grid) the polygon routes applied to many cells at once."""
     d = 2 if isinstance(domain, Polygon2D) else domain.dimension
     if H.dimension != d:
         raise InvalidSeminormError(f"the seminorm is {H.dimension}-dimensional, the domain {d}-dimensional")

@@ -158,7 +158,8 @@ def mesh_areas(mesh) -> np.ndarray:
 # _sample_boundary, _dist_to_outline and _points_in_polygon, as they were
 # before those were vectorized). The vectorized kernels must match them bit
 # for bit, so they also serve as an outline oracle independent of the code
-# under test.
+# under test. _dist_to_outline is exact only within its `reach`, where it
+# must match loop_dist_to_outline.
 
 
 def loop_sample_boundary(V: np.ndarray, spacing: float) -> np.ndarray:
@@ -203,6 +204,69 @@ def loop_points_in_polygon(points: np.ndarray, V: np.ndarray) -> np.ndarray:
             cross_x = (xj - xi) * (y - yi) / (yj - yi) + xi
         inside ^= cond & (x < cross_x)
     return inside
+
+
+# The outline kernels as they were while they measured every point against
+# every edge, in blocks of about 64k (point, edge) pairs: the memory the
+# pruned kernels must not exceed when every edge reaches every point.
+
+
+def dense_dist_to_outline(points: np.ndarray, V: np.ndarray) -> np.ndarray:
+    Dx, Dy = (np.roll(V, -1, axis=0) - V).T
+    L2 = np.maximum(Dx * Dx + Dy * Dy, 1e-300)
+    out = np.empty(len(points))
+    step = max(1, 65536 // len(V))
+    for lo in range(0, len(points), step):
+        blk = slice(lo, lo + step)
+        gx, gy = points[blk, :1] - V[:, 0], points[blk, 1:] - V[:, 1]
+        t = np.clip((gx * Dx + gy * Dy) / L2, 0.0, 1.0)
+        gx -= t * Dx
+        gy -= t * Dy
+        out[blk] = np.sqrt((gx * gx + gy * gy).min(axis=1))
+    return out
+
+
+def dense_points_in_polygon(points: np.ndarray, V: np.ndarray) -> np.ndarray:
+    xi, yi = V[:, 0], V[:, 1]
+    xj, yj = np.roll(xi, 1), np.roll(yi, 1)
+    inside = np.empty(len(points), dtype=bool)
+    step = max(1, 65536 // len(V))
+    for lo in range(0, len(points), step):
+        blk = slice(lo, lo + step)
+        x, y = points[blk, :1], points[blk, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross_x = (xj - xi) * (y - yi) / (yj - yi) + xi
+        inside[blk] = np.count_nonzero(((yi > y) != (yj > y)) & (x < cross_x), axis=1) % 2 == 1
+    return inside
+
+
+# fem.meshing._Refiner's set-up as it was before it went through arrays: one
+# _add call a triangle, each finding its longest edge by Python float
+# arithmetic. The refiner must start from the same tris and edge_map, items
+# and order, or its LEPP walks split other edges.
+
+
+def loop_refiner_state(nodes: np.ndarray, triangles: np.ndarray) -> tuple:
+    """(tris, edge_map) of a _Refiner on these nodes and triangles."""
+    xy = nodes.tolist()
+    tris, edge_map = {}, {}
+
+    def length2(e):
+        p, q = xy[e[0]], xy[e[1]]
+        dx, dy = p[0] - q[0], p[1] - q[1]
+        return dx * dx + dy * dy
+
+    for tid, t in enumerate(triangles.tolist()):
+        a, b, c = t = tuple(t)
+        edges = (
+            (a, b) if a < b else (b, a),
+            (b, c) if b < c else (c, b),
+            (c, a) if c < a else (a, c),
+        )
+        tris[tid] = max((length2(e), e) for e in edges) + (t,)
+        for e in edges:
+            edge_map.setdefault(e, []).append(tid)
+    return tris, edge_map
 
 
 # Per-edge loop version of geometry._assert_simple, as it was before the edge

@@ -1,23 +1,39 @@
-"""The mesher's vectorized outline kernels against per-edge loop oracles.
+"""The mesher's vectorized outline kernels and refiner set-up against
+per-edge loop oracles.
 
 The kernels decide which lattice points and triangles a mesh keeps, so they
 must agree with the loops bit for bit, not to a tolerance: one flipped point
-changes the mesh."""
+changes the mesh. _dist_to_outline is exact within its `reach` and may read
+inf beyond it, so it is compared with the loop there and through the
+decisions its callers take."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from anisospec.fem import meshing, mesh_polygon
-from anisospec.fem.meshing import _dist_to_outline, _hex_grid, _points_in_polygon, _sample_boundary
+from anisospec.fem.meshing import (
+    _dist_to_outline,
+    _ear_clip,
+    _grid_delaunay,
+    _hex_grid,
+    _points_in_polygon,
+    _Refiner,
+    _sample_boundary,
+)
 from anisospec.geometry import ellipse_polygon
 from conftest import (
+    dense_dist_to_outline,
+    dense_points_in_polygon,
     loop_dist_to_outline,
     loop_points_in_polygon,
+    loop_refiner_state,
     loop_sample_boundary,
     random_star_polygon,
 )
+
 
 def _polygons(rng, l_shape):
     """(polygon, h) pairs: the L-shape, 256-gon ellipses at the ellipse route's
@@ -78,27 +94,158 @@ def test_points_in_polygon_matches_loop(rng, l_shape, scale):
         assert np.array_equal(_points_in_polygon(pts, V), loop_points_in_polygon(pts, V))
 
 
+def _assert_dist_matches_loop(pts, V, *reaches):
+    """Exact within each reach, never below the true distance, and the
+    mesher's two decisions (>= protect, <= the on-outline tolerance) as the
+    loop's."""
+    want = loop_dist_to_outline(pts, V)
+    for reach in reaches:
+        got = _dist_to_outline(pts, V, reach)
+        near = want <= reach
+        assert np.array_equal(got[near], want[near])
+        assert np.all(got[~near] >= want[~near])
+        assert np.array_equal(got >= reach, want >= reach)
+        assert np.array_equal(got <= reach, want <= reach)
+
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_dist_to_outline_matches_loop(rng, l_shape, scale):
     for poly, h in _polygons(rng, l_shape):
         V = poly.vertices
         pts = _probe_points(rng, V, scale * h)
-        assert np.array_equal(_dist_to_outline(pts, V), loop_dist_to_outline(pts, V))
+        # the protect band and the on-outline tolerance as the mesher takes
+        # them, a wider reach, and one every edge makes: exact everywhere
+        protect = 0.55 * np.linalg.norm(np.diff(_sample_boundary(V, 0.98 * h), axis=0), axis=1).max()
+        _assert_dist_matches_loop(pts, V, protect, 1e-9 * max(1.0, float(np.abs(V).max())), 0.3, np.inf)
+
+
+def _threshold_points(V, protect):
+    """Vertices, edge midpoints, points exactly `protect` from an edge's
+    midpoint along its normal (either side) and from a vertex along the axes,
+    and points at exactly a vertex's y-level."""
+    Q = np.roll(V, -1, axis=0)
+    D = Q - V
+    normal = np.column_stack([-D[:, 1], D[:, 0]]) / np.linalg.norm(D, axis=1)[:, None]
+    mid = 0.5 * (V + Q)
+    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    levels = np.column_stack([np.linspace(V[:, 0].min() - 0.1, V[:, 0].max() + 0.1, len(V)), V[:, 1]])
+    return np.vstack(
+        [V, mid, mid + protect * normal, mid - protect * normal, (V[:, None] + protect * axes).reshape(-1, 2), levels]
+    )
+
+
+# horizontal and vertical edges only, then a polygon with none
+_AXIS_POLYGONS = {
+    "L": [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+    "U": [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)],
+    "rotated square": [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AXIS_POLYGONS))
+@pytest.mark.parametrize("protect", [0.05, 0.1, 0.5, 0.55 * 0.098])
+def test_kernels_at_thresholds(name, protect):
+    V = np.array(_AXIS_POLYGONS[name], dtype=float)
+    pts = _threshold_points(V, protect)
+    assert np.array_equal(_points_in_polygon(pts, V), loop_points_in_polygon(pts, V))
+    _assert_dist_matches_loop(pts, V, protect, 1e-9 * max(1.0, float(np.abs(V).max())))
+
+
+def test_kernels_at_thresholds_on_curved_outlines(rng):
+    for poly, h in [(ellipse_polygon(r, 1.0, 256), 0.1 * math.sqrt(r)) for r in (1.0, 25.0)]:
+        V = poly.vertices
+        protect = 0.55 * 0.98 * h
+        pts = _threshold_points(V, protect)
+        assert np.array_equal(_points_in_polygon(pts, V), loop_points_in_polygon(pts, V))
+        _assert_dist_matches_loop(pts, V, protect)
+    for n in (3, 7, 40):
+        V = random_star_polygon(rng, n=n).vertices
+        pts = _threshold_points(V, 0.066)
+        assert np.array_equal(_points_in_polygon(pts, V), loop_points_in_polygon(pts, V))
+        _assert_dist_matches_loop(pts, V, 0.066)
 
 
 def test_kernels_span_several_blocks(rng):
-    # a triangle takes 21,845 points per block: these points fill two blocks
-    # and part of a third
+    # about 71k crossing pairs and 150k distance pairs: many chunks of pairs each
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     pts = rng.uniform(-0.2, 1.2, (50000, 2))
     assert np.array_equal(_points_in_polygon(pts, V), loop_points_in_polygon(pts, V))
-    assert np.array_equal(_dist_to_outline(pts, V), loop_dist_to_outline(pts, V))
+    _assert_dist_matches_loop(pts, V, 0.05, np.inf)
 
 
 def test_kernels_take_no_points(l_shape):
     V = l_shape.vertices
     assert _points_in_polygon(np.empty((0, 2)), V).shape == (0,)
-    assert _dist_to_outline(np.empty((0, 2)), V).shape == (0,)
+    for reach in (0.05, np.inf):
+        assert _dist_to_outline(np.empty((0, 2)), V, reach).shape == (0,)
+
+
+def _comb(k: int) -> np.ndarray:
+    """A zigzag strip of 4k edges between y = f(x) and y = f(x) + 0.5, where f
+    runs between -1 and 1 with slope 4: every edge's y-range holds [-0.5, 1]."""
+    outer = np.empty((2 * k + 1, 2))
+    outer[0::2] = np.column_stack([np.arange(k + 1.0), np.ones(k + 1)])
+    outer[1::2] = np.column_stack([np.arange(k) + 0.5, -np.ones(k)])
+    return np.vstack([outer, (outer[1:-1] + [0.0, 0.5])[::-1]])
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_memory_when_every_edge_reaches_every_point(rng):
+    # 20,000 points x 64 edges, every pair a candidate: the pruned kernels
+    # must hold no more than the dense ones did
+    V = _comb(16)
+    pts = np.column_stack([rng.uniform(0.0, 16.0, 20000), rng.uniform(-0.4, 0.9, 20000)])
+    inside, peak = _peak_bytes(_points_in_polygon, pts, V)
+    want, dense_peak = _peak_bytes(dense_points_in_polygon, pts, V)
+    assert np.array_equal(inside, want)
+    assert np.array_equal(inside, loop_points_in_polygon(pts, V))
+    assert peak <= dense_peak
+    dist, peak = _peak_bytes(_dist_to_outline, pts, V, 100.0)
+    want, dense_peak = _peak_bytes(dense_dist_to_outline, pts, V)
+    assert np.array_equal(dist, want)
+    assert np.array_equal(dist, loop_dist_to_outline(pts, V))
+    assert peak <= dense_peak
+
+
+def _assert_same_state(refiner, nodes, triangles):
+    tris, edge_map = loop_refiner_state(nodes, triangles)
+    assert list(refiner.tris.items()) == list(tris.items())
+    assert list(refiner.edge_map.items()) == list(edge_map.items())
+    # Python ints and floats, as _add makes them, not NumPy scalars
+    assert {type(x) for v in refiner.tris.values() for x in (v[0], *v[1], *v[2])} <= {int, float}
+    assert {type(x) for e, tids in refiner.edge_map.items() for x in (*e, *tids)} == {int}
+    assert refiner.next_tid == len(triangles)
+
+
+def test_refiner_state_matches_loop(rng):
+    # the fast-path triangulations the ellipse route refines, and star polygons
+    cases = [(ellipse_polygon(r, 1.0, 256), 0.1 * math.sqrt(r)) for r in (1.0, 6.5, 30.0, 80.0)]
+    cases += [(random_star_polygon(rng, n=n), 0.12) for n in (6, 11, 60)]
+    for k, (poly, h) in enumerate(cases):
+        fast = _grid_delaunay(poly, h)
+        # a star polygon may leave the fast path for ear clipping
+        assert fast is not None or k >= 4
+        if fast is not None:
+            _assert_same_state(_Refiner(*fast, h), *fast)
+        V = poly.vertices
+        _assert_same_state(_Refiner(V, _ear_clip(V), h), V, _ear_clip(V))
+
+
+def test_refiner_state_breaks_ties_as_loop():
+    # isosceles triangles whose two longest edges tie exactly, with every
+    # rotation of their corners: the larger (low, high) pair must win
+    nodes = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [3.0, 2.0], [1.0, -2.0]])
+    base = np.array([[0, 1, 2], [1, 3, 2], [0, 4, 1]])
+    triangles = np.concatenate([np.roll(base, k, axis=1) for k in range(3)])
+    _assert_same_state(_Refiner(nodes, triangles, 0.5), nodes, triangles)
 
 
 def test_meshes_match_loop_kernels(rng, monkeypatch):
@@ -116,7 +263,7 @@ def test_meshes_match_loop_kernels(rng, monkeypatch):
 
     fast = meshes()
     monkeypatch.setattr(meshing, "_sample_boundary", loop_sample_boundary)
-    monkeypatch.setattr(meshing, "_dist_to_outline", loop_dist_to_outline)
+    monkeypatch.setattr(meshing, "_dist_to_outline", lambda points, V, reach: loop_dist_to_outline(points, V))
     monkeypatch.setattr(meshing, "_points_in_polygon", loop_points_in_polygon)
     for got, want in zip(fast, meshes()):
         assert np.array_equal(got, want)
