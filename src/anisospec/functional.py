@@ -12,14 +12,14 @@ form, then slicing, then FEM) and searches two normalized families:
 where u = (cos t, sin t). Fixing the larger coefficient to 1 keeps the
 operator norm at 1, and a = 0 is exactly the rank-1 boundary of the family.
 
-`_route` picks the route of one evaluation, and `_spectral` memoizes it for
-the domain being evaluated. It is not the only code that picks a route: the
-optimizers' grid passes dispatch on the domain themselves, `_rank1_values`
-to one slicing scan of a polygon's directions and `_quadratic_values` (with
-`_quadratic_grid`) to one solve per cell on a polygon's assemblies, each
-with the bits `_route` would give. Degenerate quadratics (one alpha = 0) are
-exactly rank-1 and go to the exact slicing solver or to a closed form; the
-zero seminorm is rejected as a distinguished error.
+`_route` is the only code that picks a route. It takes a batch of seminorms
+of one class in array form and sends the whole batch to one solver, and
+`_spectra` memoizes each batch for the domain being evaluated. `eval_F`
+routes a batch of one through `_spectral`, the rank-1 optimizer its whole
+angle scan, and the quadratic optimizer its grid as two batches, the
+rank-1 boundary column and the inner cells. Degenerate quadratics (one
+alpha = 0) are exactly rank-1 and go to the exact slicing solver or to a
+closed form; the zero seminorm is rejected as a distinguished error.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .geometry import (
 )
 from .memo import Memo
 from .seminorms import QuadraticSeminorm, Rank1Seminorm, Seminorm, SolverConfig, Spectral
-from .slicing import _rank1_scan, solve_rank1
+from .slicing import _rank1_scan
 
 __all__ = [
     "BoundCheck",
@@ -158,17 +158,7 @@ def _domain_key(domain):
         return ("polygon", domain.fingerprint)
     if isinstance(domain, BoxD):
         return ("box", domain.intervals.tobytes())
-    if isinstance(domain, EllipsoidD):
-        return ("ellipsoid", domain.semi_axes.tobytes(), domain.rotation.tobytes())
-    raise InvalidDomainError(f"unsupported domain type {type(domain).__name__}")
-
-
-def _seminorm_key(H):
-    if isinstance(H, Rank1Seminorm):
-        return ("rank1", H.eta.tobytes())
-    if isinstance(H, QuadraticSeminorm):
-        return ("quadratic", H.alphas.tobytes() + H.rotation.tobytes())
-    raise InvalidSeminormError(f"unsupported seminorm type {type(H).__name__}")
+    return ("ellipsoid", domain.semi_axes.tobytes(), domain.rotation.tobytes())
 
 
 def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
@@ -196,57 +186,48 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
     return _ELLIPSE_LAMBDA.get_or((round(float(ratio), 9), cfg), solve)
 
 
-def _rank1_ellipsoid(domain: EllipsoidD, H: Rank1Seminorm) -> Spectral:
-    scale = H.operator_norm
-    v = domain.rotation.T @ H.direction
+def _rank1_ellipsoid(domain: EllipsoidD, unit, scale: float) -> tuple:
+    v = domain.rotation.T @ unit
     lam = lambda_rank1_ellipsoid(domain.semi_axes, v) * scale**2
     tor = torsion_rank1_ellipsoid(domain.semi_axes, v) / scale**2
-    return Spectral(lam, tor, "closed_form", "closed_form")
+    return lam, tor, "closed_form", "closed_form"
 
 
-def _rank1_box(domain: BoxD, H: Rank1Seminorm) -> Spectral:
-    scale = H.operator_norm
-    unit = H.direction
+def _rank1_box(domain: BoxD, unit, scale: float) -> tuple:
     axis = int(np.argmax(np.abs(unit)))
     if abs(abs(unit[axis]) - 1.0) <= 1e-12:
         lam, tor = rank1_box(domain, axis)
-        return Spectral(lam * scale**2, tor / scale**2, "closed_form", "closed_form")
+        return lam * scale**2, tor / scale**2, "closed_form", "closed_form"
     if domain.dimension == 2:
-        return solve_rank1(domain.to_polygon(), H)
+        return _rank1_scan(domain.to_polygon(), unit[None], [scale])[0]
     raise UnsupportedError("rank-1 box solves above dimension 2 need an axis-aligned direction")
 
 
-def _quadratic_ellipsoid(domain: EllipsoidD, H: QuadraticSeminorm, cfg: SolverConfig) -> Spectral:
+def _quadratic_ellipsoid(domain: EllipsoidD, rotation, alphas, cfg: SolverConfig) -> tuple:
     if domain.dimension != 2:
         raise UnsupportedError("no eigenvalue solver for quadratic seminorms on ellipsoids above dimension 2")
     # semi-axes of the image ellipse B E, B = diag(1/alpha) R^T, in descending
     # order; lambda_H(E) and T_H(E) depend on nothing else
-    M = np.diag(1.0 / H.alphas) @ H.rotation.T @ domain.rotation @ np.diag(domain.semi_axes)
+    M = np.diag(1.0 / alphas) @ rotation.T @ domain.rotation @ np.diag(domain.semi_axes)
     axes = np.linalg.svd(M)[1]
-    det_scale = float(np.prod(H.alphas))
+    det_scale = float(np.prod(alphas))
     tor = torsion_euclid_ellipsoid(axes) * det_scale
     ratio = float(axes[0] / axes[1])
     unit = _ellipse_lambda(ratio, cfg)
     s = float(axes[1])  # the image is the (ratio, 1) ellipse scaled by s
     lam, err = unit.lambda_ / s**2, unit.error_estimate / s**2
-    return Spectral(lam, tor, unit.lambda_provenance, "closed_form", err, h_used=unit.h_used * s)
+    return lam, tor, unit.lambda_provenance, "closed_form", err, unit.h_used * s
 
 
 def _spectral(domain, H, cfg: SolverConfig) -> Spectral:
-    """lambda_H and T_H of the pair, memoized per domain (see _route)."""
-    # one flat tuple per entry: a domain's memo holds thousands of these keys
-    per_domain = _SPECTRAL.get_or(_domain_key(domain), lambda: Memo(8192))
-    return per_domain.get_or((*_seminorm_key(H), cfg), lambda: _route(domain, H, cfg))
-
-
-def _route(domain, H, cfg: SolverConfig) -> Spectral:
-    """lambda_H and T_H through exactly one route: check dimensions, turn a
-    2-D box under a quadratic H into its polygon, reduce a degenerate
-    quadratic H to its rank-1 part, then dispatch on (domain type, seminorm
-    type). Two grid passes dispatch on their own, with the same bits: the
-    rank-1 scan (_rank1_values) is the rank-1 polygon route applied to many
-    directions at once, and the quadratic grid (_quadratic_values,
-    _quadratic_grid) the polygon routes applied to many cells at once."""
+    """lambda_H and T_H of the pair: check dimensions, turn a 2-D box under a
+    quadratic H into its polygon, reject the zero seminorm, reduce a
+    degenerate quadratic H to its rank-1 part, then route it as a batch of
+    one (see _spectra)."""
+    if not isinstance(domain, (Polygon2D, BoxD, EllipsoidD)):
+        raise InvalidDomainError(f"unsupported domain type {type(domain).__name__}")
+    if not isinstance(H, (Rank1Seminorm, QuadraticSeminorm)):
+        raise InvalidSeminormError(f"unsupported seminorm type {type(H).__name__}")
     d = 2 if isinstance(domain, Polygon2D) else domain.dimension
     if H.dimension != d:
         raise InvalidSeminormError(f"the seminorm is {H.dimension}-dimensional, the domain {d}-dimensional")
@@ -260,18 +241,49 @@ def _route(domain, H, cfg: SolverConfig) -> Spectral:
             if codim > 1:
                 raise UnsupportedError("partially degenerate quadratic seminorms are out of scope")
             H = Rank1Seminorm(H.alphas[0] * H.rotation[:, 0])
+    batch = ("rank1", H.eta[None]) if isinstance(H, Rank1Seminorm) else ("quadratic", H.rotation[None], H.alphas[None])
+    return Spectral(*_spectra(domain, batch, cfg)[0])
 
-    rank1 = isinstance(H, Rank1Seminorm)
+
+def _spectra(domain, batch, cfg: SolverConfig) -> list:
+    """_route's rows for the batch, memoized per domain under one key shape:
+    (class, the batch arrays' bytes, cfg)."""
+    per_domain = _SPECTRAL.get_or(_domain_key(domain), lambda: Memo(8192))
+    key = (batch[0], b"".join(a.tobytes() for a in batch[1:]), cfg)
+    return per_domain.get_or(key, lambda: _route(domain, batch, cfg))
+
+
+def _route(domain, batch, cfg: SolverConfig) -> list:
+    """The one dispatcher from (domain, seminorms) to spectral values: one
+    tuple per seminorm of the batch, in Spectral's field order, from the
+    route of (domain type, seminorm class). A batch holds one class in array
+    form: ("rank1", eta) with one row of eta (m x d) per seminorm, or
+    ("quadratic", rotations, alphas) of shapes (m, d, d) and (m, d), every
+    row nondegenerate. A polygon's rank-1 batch is one slicing scan, its
+    quadratic batch one `_fem` solve per Gram matrix on the polygon's
+    assemblies; ellipsoid and box rows go one by one to their closed forms,
+    the ellipse route, or the slicing of a box's polygon."""
+    if batch[0] == "rank1":
+        eta = batch[1]
+        # operator norms and unit rows as Rank1Seminorm computes them:
+        # np.linalg.norm(eta) is the square root of eta.dot(eta)
+        norms = [math.sqrt(w.dot(w)) for w in eta]
+        units = eta / np.array(norms)[:, None]
+        if isinstance(domain, Polygon2D):
+            return _rank1_scan(domain, units, norms)
+        solve = _rank1_ellipsoid if isinstance(domain, EllipsoidD) else _rank1_box
+        return [solve(domain, unit, t) for unit, t in zip(units, norms)]
+    _, rotations, alphas = batch
     if isinstance(domain, Polygon2D):
-        if rank1:
-            return solve_rank1(domain, H)
-        from .fem import solve_quadratic  # the FEM layer (and SciPy) loads on first use
+        from .fem.solver import _fem, _polygon_levels  # the FEM layer (and SciPy) loads on first use
 
-        return solve_quadratic(domain, H, cfg)
+        levels = _polygon_levels(domain, cfg)
+        # each Gram matrix as QuadraticSeminorm.gram() multiplies it; a
+        # column's sign leaves every product, and so Q, bit for bit the same
+        fems = (_fem(levels, R @ np.diag(a**2) @ R.T) for R, a in zip(rotations, alphas))
+        return [(lam, tor, prov, prov, max(err_lam, err_tor), h) for lam, tor, h, err_lam, err_tor, prov in fems]
     if isinstance(domain, EllipsoidD):
-        return _rank1_ellipsoid(domain, H) if rank1 else _quadratic_ellipsoid(domain, H, cfg)
-    if rank1:
-        return _rank1_box(domain, H)
+        return [_quadratic_ellipsoid(domain, R, a, cfg) for R, a in zip(rotations, alphas)]
     raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
 
 
@@ -376,53 +388,17 @@ def _rank1_angles(domain) -> np.ndarray:
     return np.unique(np.round(thetas, 12))
 
 
-def _rank1_values(domain, thetas, cfg: SolverConfig) -> tuple:
-    """(lambdas, torsions) of the rank-1 seminorms at the angles thetas, the
-    values _spectral gives each of them: on a polygon one slicing pass over
-    all the angles, kept as one entry of the domain's memo; on an ellipse
-    each angle's closed form through _spectral."""
-    if isinstance(domain, EllipsoidD):
-        sps = [_spectral(domain, _rank1_direction(t), cfg) for t in thetas]
-        return [sp.lambda_ for sp in sps], [sp.torsion for sp in sps]
-    per_domain = _SPECTRAL.get_or(_domain_key(domain), lambda: Memo(8192))
-    return per_domain.get_or(("rank1-scan", thetas.tobytes()), lambda: _rank1_scan(domain, thetas))
-
-
-def _quadratic_values(domain, thetas, alphas, cfg: SolverConfig) -> tuple:
-    """(lambdas, torsions) of the family seminorms _family_seminorm(t, a),
-    one row per angle t in thetas and one column per coefficient a in alphas,
-    the values _spectral gives each of them. On a polygon one pass, kept as
-    one entry of the domain's memo: the a = 0 cells come from one rank-1
-    scan (_rank1_values), every other cell from one `_fem` solve of its Gram
-    matrix on the polygon's assemblies; on an ellipse each cell goes through
-    _spectral."""
-    if isinstance(domain, EllipsoidD):
-        sps = [[_spectral(domain, _family_seminorm(t, a), cfg) for a in alphas.tolist()] for t in thetas.tolist()]
-        return [[sp.lambda_ for sp in row] for row in sps], [[sp.torsion for sp in row] for row in sps]
-    per_domain = _SPECTRAL.get_or(_domain_key(domain), lambda: Memo(8192))
-    key = ("quadratic-grid", thetas.tobytes(), alphas.tobytes(), cfg)
-    return per_domain.get_or(key, lambda: _quadratic_grid(domain, thetas, alphas, cfg))
-
-
-def _quadratic_grid(polygon: Polygon2D, thetas, alphas, cfg: SolverConfig) -> tuple:
-    from .fem.solver import _fem, _polygon_levels  # the FEM layer (and SciPy) loads on first use
-
-    r1_lams, r1_tors = _rank1_values(polygon, thetas, cfg)
-    levels = _polygon_levels(polygon, cfg)
-    lams, tors = [], []
-    for i, t in enumerate(thetas.tolist()):
-        # R and diag(alphas**2) as QuadraticSeminorm.gram() multiplies them;
-        # its canonical form may negate a column of R, which leaves every
-        # product, and so Q, bit for bit the same
-        c, s = math.cos(t), math.sin(t)
-        R = np.array([[c, -s], [s, c]])
-        cells = [
-            (r1_lams[i], r1_tors[i]) if a == 0.0 else _fem(levels, R @ np.diag(np.array([1.0, a]) ** 2) @ R.T)[:2]
-            for a in alphas.tolist()
-        ]
-        lams.append([lam for lam, _ in cells])
-        tors.append([tor for _, tor in cells])
-    return lams, tors
+def _family_batch(thetas, alphas=None) -> tuple:
+    """The family seminorms _family_seminorm(t, a) of paired angles and
+    coefficients as one batch for _spectra: without alphas the rank-1 rows
+    (cos t, sin t), with them rotations [[c, -s], [s, c]] and alphas (1, a).
+    math.cos and math.sin give _family_seminorm's bits, where np.cos may not."""
+    u = np.column_stack([np.fromiter(map(f, thetas), float, len(thetas)) for f in (math.cos, math.sin)])
+    if alphas is None:
+        return ("rank1", u)
+    # columns (c, s) and (-s, c); the sign flip is exact
+    rotations = np.stack([u, u[:, ::-1] * (-1.0, 1.0)], axis=2)
+    return ("quadratic", rotations, np.column_stack([np.ones(len(u)), alphas]))
 
 
 def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
@@ -439,9 +415,9 @@ def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     cfg = SolverConfig()
 
     thetas = _rank1_angles(domain)
-    lams, tors = _rank1_values(domain, thetas, cfg)
+    rows = _spectra(domain, _family_batch(thetas.tolist()), cfg)
     # the scan values are eval_F's, lambda * T**q on Python floats
-    trace = [(t % math.pi, lam * tor**q) for t, lam, tor in zip(thetas.tolist(), lams, tors)]
+    trace = [(t % math.pi, row[0] * row[1] ** q) for t, row in zip(thetas.tolist(), rows)]
 
     def f(theta: float) -> float:
         val = eval_F(domain, _rank1_direction(theta), q, cfg).value
@@ -481,12 +457,12 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
 
     Coarse 36 x 21 grid over (theta, alpha), alpha = 0 evaluated by the exact
     degenerate route, then alternating golden-section refinement in each
-    parameter until both updates fall below 1e-4. On a polygon the grid is
-    solved in one pass on the polygon's assembly (_quadratic_values), which
-    a sweep over exponents solves once. Tiny alpha is snapped to the rank-1
-    boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids, where the
-    stretched eigensolve stops paying for itself), and the boundary flag
-    reports alpha* = 0.
+    parameter until both updates fall below 1e-4. The grid goes to _route as
+    two batches (the alpha = 0 column and the other cells), which a sweep
+    over exponents solves once. Tiny alpha is snapped to the rank-1 boundary
+    (below 5e-3 for polygons, 2.5e-2 for ellipsoids, where the stretched
+    eigensolve stops paying for itself), and the boundary flag reports
+    alpha* = 0.
     """
     domain = _as_planar_domain(domain)
     sign = _check_mode(mode)
@@ -504,17 +480,16 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
         trace.append(((theta, alpha), val))
         return sign * val
 
-    theta_grid = np.arange(36) * (math.pi / 36.0)
+    theta_grid = (np.arange(36) * (math.pi / 36.0)).tolist()
     alpha_grid = np.linspace(0.0, 1.0, 21)
-    alphas = np.array([snap(a) for a in alpha_grid])
-    lams, tors = _quadratic_values(domain, theta_grid, alphas, cfg)
-    # the grid values are eval_F's, lambda * T**q, in theta-major order
-    trace = [
-        ((t, a), float(lam * tor**q))
-        for t, lam_row, tor_row in zip(theta_grid.tolist(), lams, tors)
-        for a, lam, tor in zip(alphas.tolist(), lam_row, tor_row)
-    ]
-    grid_vals = np.array([sign * val for _, val in trace]).reshape(len(theta_grid), len(alphas))
+    cells = [(t, snap(a)) for t in theta_grid for a in alpha_grid]
+    # two batches, the alpha = 0 column and the inner cells; the grid values
+    # are eval_F's, lambda * T**q, in theta-major order
+    inner = [cell for cell in cells if cell[1] > 0.0]
+    rows = dict(zip([(t, 0.0) for t in theta_grid], _spectra(domain, _family_batch(theta_grid), cfg)))
+    rows.update(zip(inner, _spectra(domain, _family_batch(*zip(*inner)), cfg)))
+    trace = [(cell, float(rows[cell][0] * rows[cell][1] ** q)) for cell in cells]
+    grid_vals = np.array([sign * val for _, val in trace]).reshape(len(theta_grid), len(alpha_grid))
     it, ia = np.unravel_index(int(np.argmin(grid_vals)), grid_vals.shape)
     theta, alpha = float(theta_grid[it]), float(alpha_grid[ia])
 

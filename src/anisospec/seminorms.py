@@ -3,8 +3,8 @@
 A rank-1 seminorm is H(x) = |<x, eta>|; a quadratic seminorm is
 H(x) = |diag(alphas) R^T x| for an orthogonal R and nonnegative alphas.
 Both are immutable; every operation returns a new object. `Spectral` is the
-record every route returns for one (domain, seminorm) pair, and
-`SolverConfig` the FEM settings a route takes.
+record of one (domain, seminorm) pair, whose fields every route yields as a
+row, and `SolverConfig` the FEM settings a route takes.
 """
 
 from __future__ import annotations
@@ -154,13 +154,15 @@ Seminorm = Rank1Seminorm | QuadraticSeminorm
 
 @dataclass(frozen=True, slots=True)
 class Spectral:
-    """lambda_H and T_H of one (domain, seminorm) pair, as every route returns them.
+    """lambda_H and T_H of one (domain, seminorm) pair. Every route yields
+    these fields, in this order, as one plain tuple per seminorm of a batch;
+    eval_F and verify_bounds build the record from the row.
 
     A provenance is "closed_form", "slicing", "fem" or "fem_richardson".
     error_estimate is 0 on exact routes and the coarse/fine difference of a
     Richardson pair. h_used is the finest FEM mesh size and breakpoints_used
-    the number of slab breakpoints of a slicing solve; each is 0 on the
-    routes that have none.
+    the number of slab breakpoints of a lone `solve_rank1` call; each is 0
+    where there is none (a route's rows leave breakpoints_used out).
     """
 
     lambda_: float

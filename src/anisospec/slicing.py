@@ -14,8 +14,6 @@ T_{tH} = t^-2 T_H.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidDomainError, InvalidSeminormError
@@ -68,21 +66,17 @@ def _reduce(dec, norms: list) -> list:
     return out
 
 
-def _rank1_scan(polygon: Polygon2D, thetas) -> tuple:
-    """(lambdas, torsions) of H = |<x, (cos theta, sin theta)>| at every theta,
-    the same bits solve_rank1 gives for each H alone."""
-    eta = np.array([(math.cos(t), math.sin(t)) for t in thetas])
-    # operator norms and unit directions as Rank1Seminorm computes them:
-    # np.linalg.norm(eta) is the square root of eta.dot(eta)
-    norms = [math.sqrt(w.dot(w)) for w in eta]
-    units = eta / np.array(norms)[:, None]
+def _rank1_scan(polygon: Polygon2D, units, norms: list) -> list:
+    """(lambda, T, "slicing", "slicing") of the seminorm of operator norm
+    norms[row] along each unit direction row of units, the same bits
+    solve_rank1 gives for each alone."""
     out = []
     lo, rows = 0, 1
     while lo < len(units):
         dec = slab_decomposition(polygon, units[lo : lo + rows])
-        out += _reduce(dec, norms[lo : lo + rows])
+        out += [(lam, tor, "slicing", "slicing") for lam, tor in _reduce(dec, norms[lo : lo + rows])]
         lo += rows
         # blocks of about 4k components, 8k chord crossings, sized by the
         # last block: larger ones raise peak memory and gain no speed
         rows = max(1, 4096 * rows // len(dec.len_lo))
-    return [lam for lam, _ in out], [tor for _, tor in out]
+    return out

@@ -24,16 +24,19 @@ from anisospec.errors import (
 from anisospec.fem import SolverConfig, solver
 from anisospec.functional import (
     _augment_directions,
-    _quadratic_values,
+    _family_batch,
+    _family_seminorm,
     _rank1_angles,
     _rank1_direction,
+    _route,
     eval_F,
     optimize_quadratic,
     optimize_rank1,
     q_sweep,
     verify_bounds,
 )
-from anisospec.slicing import _rank1_scan
+from anisospec.seminorms import Spectral
+from anisospec.slicing import solve_rank1
 from conftest import (
     loop_augment_directions,
     loop_optimize_quadratic,
@@ -258,14 +261,17 @@ def _scan_polygons():
 @pytest.mark.parametrize("name, poly", list(_scan_polygons()))
 def test_rank1_scan_is_eval_F_bit_for_bit(name, poly):
     # the vertex-pair angles put two vertex projections within GEOM_TOL of
-    # each other, where the slab structure is most fragile
+    # each other, where the slab structure is most fragile; solve_rank1
+    # slices each direction alone, outside _route
     q = 1.3
-    thetas = _rank1_angles(poly)
-    lams, tors = _rank1_scan(poly, thetas)
+    thetas = _rank1_angles(poly).tolist()
+    rows = _route(poly, _family_batch(thetas), SolverConfig())
     report = optimize_rank1(poly, q, "min")
-    for i, theta in enumerate(thetas.tolist()):
+    for i, theta in enumerate(thetas):
+        sp = solve_rank1(poly, _rank1_direction(theta))
         fv = eval_F(poly, _rank1_direction(theta), q)
-        assert (fv.lambda_, fv.torsion) == (lams[i], tors[i])
+        assert rows[i] == (sp.lambda_, sp.torsion, "slicing", "slicing")
+        assert (fv.lambda_, fv.torsion) == (sp.lambda_, sp.torsion)
         assert report.trace[i] == (theta % math.pi, fv.value)
 
 
@@ -281,14 +287,42 @@ def _grid_polygons():
 @pytest.mark.parametrize("richardson", [False, True])
 def test_quadratic_grid_is_eval_F_bit_for_bit(name, poly, richardson):
     # angles on both sides of pi/4 and 3pi/4, where the canonical form
-    # negates one column of the rotation or the other
+    # negates one column of the rotation or the other: solve_quadratic
+    # solves the canonical rotation's Gram matrix, the grid batch its own
     cfg = SolverConfig(target_h=0.12, richardson=richardson)
     levels = solver._polygon_levels(poly, cfg)
     assert [a.dense is not None for a in levels] == ([True, False] if richardson else [True])
-    thetas = np.arange(12) * (math.pi / 12.0)
-    alphas = np.array([0.0, 0.05, 0.35, 1.0])
-    lams, tors = _quadratic_values(poly, thetas, alphas, cfg)
-    assert (lams, tors) == loop_quadratic_values(poly, thetas, alphas, 1.0, cfg)[:2]
+    thetas = (np.arange(12) * (math.pi / 12.0)).tolist()
+    alphas = [0.0, 0.05, 0.35, 1.0]
+    lams, tors, _ = loop_quadratic_values(poly, np.array(thetas), np.array(alphas), 1.0, cfg)
+    boundary = _route(poly, _family_batch(thetas), cfg)
+    inner = [(t, a) for t in thetas for a in alphas[1:]]
+    rows = iter(_route(poly, _family_batch(*zip(*inner)), cfg))
+    for i, t in enumerate(thetas):
+        sp = solve_rank1(poly, _rank1_direction(t))
+        assert boundary[i] == (sp.lambda_, sp.torsion, "slicing", "slicing")
+        assert (lams[i][0], tors[i][0]) == boundary[i][:2]
+        for j, a in enumerate(alphas[1:], 1):
+            row = next(rows)
+            assert Spectral(*row) == solver.solve_quadratic(poly, _family_seminorm(t, a), cfg)
+            assert (lams[i][j], tors[i][j]) == row[:2]
+
+
+def test_ellipse_route_is_sign_blind():
+    # the grid batch keeps the rotation [[c, -s], [s, c]], whose columns the
+    # canonical form negates on one side of pi/4 or 3pi/4; the SVD of the
+    # image ellipse must give the same bits either way
+    c, s = math.cos(0.4), math.sin(0.4)
+    ellipse = EllipsoidD([2.0, 1.0], [[c, -s], [s, c]])
+    cfg = SolverConfig(target_h=0.2)
+    thetas = [math.pi / 4 + d for d in (-0.2, -1e-3, 1e-3)] + [3 * math.pi / 4 + d for d in (-1e-3, 1e-3, 0.2)]
+    inner = [(t, a) for t in thetas for a in (0.3, 1.0)]
+    batch = _family_batch(*zip(*inner))
+    flipped = [not np.array_equal(R, _family_seminorm(t, a).rotation) for (t, a), R in zip(inner, batch[1])]
+    assert sum(flipped) == 8
+    for (t, a), row in zip(inner, _route(ellipse, batch, cfg)):
+        fv = eval_F(ellipse, _family_seminorm(t, a), 1.0, cfg)
+        assert (fv.lambda_, fv.torsion, fv.lambda_provenance, fv.torsion_provenance) == row[:4]
 
 
 @pytest.mark.parametrize("domain", [random_star_polygon(np.random.default_rng(21), 6, 0.3, 0.6), EllipsoidD([1.0, 1.0])])
@@ -301,8 +335,14 @@ def test_optimize_quadratic_matches_grid_cell_loop(domain):
 
 def test_q_sweep_solves_the_quadratic_grid_once(monkeypatch):
     grids, fems = [], []
-    grid, fem = functional._quadratic_grid, solver._fem
-    monkeypatch.setattr(functional, "_quadratic_grid", lambda *a: grids.append(a) or grid(*a))
+    route, fem = functional._route, solver._fem
+
+    def counted_route(domain, batch, cfg):
+        if batch[0] == "quadratic" and len(batch[1]) > 1:
+            grids.append(batch)
+        return route(domain, batch, cfg)
+
+    monkeypatch.setattr(functional, "_route", counted_route)
     monkeypatch.setattr(solver, "_fem", lambda *a: fems.append(a) or fem(*a))
     poly = random_star_polygon(np.random.default_rng(22), 6, 0.3, 0.6)
     sweep = q_sweep(poly, [0.9, 1.0, 1.1], "min")
@@ -310,6 +350,50 @@ def test_q_sweep_solves_the_quadratic_grid_once(monkeypatch):
     # 720 grid cells with alpha > 0 once, then only golden-section points
     refinements = sum(len(report.trace) - 36 * 21 for report in sweep.reports)
     assert 720 <= len(fems) <= 720 + refinements
+
+
+def test_route_sees_every_solve(monkeypatch):
+    # every solve goes through _route as one batch: the polygon solvers are
+    # reached from nowhere else, so each of their calls sits under a route
+    routes, scans, fems = [], [], []
+    route, scan, fem = functional._route, functional._rank1_scan, solver._fem
+
+    def counted_route(domain, batch, cfg):
+        routes.append((batch[0], len(batch[1])))
+        n_scans, n_fems = len(scans), len(fems)
+        rows = route(domain, batch, cfg)
+        # a rank-1 batch is one scan, a quadratic batch one _fem solve a row
+        assert (len(scans) - n_scans, len(fems) - n_fems) == ((1, 0) if batch[0] == "rank1" else (0, len(rows)))
+        return rows
+
+    monkeypatch.setattr(functional, "_route", counted_route)
+    monkeypatch.setattr(functional, "_rank1_scan", lambda *a: scans.append(a) or scan(*a))
+    monkeypatch.setattr(solver, "_fem", lambda *a: fems.append(a) or fem(*a))
+    rng = np.random.default_rng(23)
+    cfg = SolverConfig(target_h=0.2)
+
+    poly = random_star_polygon(rng, 7, 0.3, 0.6)
+    report = optimize_rank1(poly, 1.2, "max")
+    n = len(_rank1_angles(poly))
+    assert routes[0] == ("rank1", n)
+    # each golden-section point the memo misses, and the best angle's
+    # re-evaluation at most, as a batch of one
+    assert set(routes[1:]) == {("rank1", 1)}
+    assert len(routes) - 1 <= len(report.trace) - n + 1
+    assert len(scans) == len(routes) and not fems
+
+    routes.clear()
+    scans.clear()
+    poly = random_star_polygon(rng, 6, 0.3, 0.6)
+    report = optimize_quadratic(poly, 1.0, "min", cfg)
+    assert routes[:2] == [("rank1", 36), ("quadratic", 720)]
+    assert set(routes[2:]) <= {("rank1", 1), ("quadratic", 1)}
+    assert len(routes) - 2 <= len(report.trace) - 36 * 21 + 1
+    assert len(scans) + len(fems) - 720 == len(routes) - 1
+
+    routes.clear()
+    eval_F(poly, QuadraticSeminorm(None, [1.0, 0.37]), 1.0, cfg)
+    assert routes == [("quadratic", 1)]
 
 
 @pytest.fixture(scope="class")
