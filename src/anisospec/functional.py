@@ -147,10 +147,14 @@ class BoundsReport:
 # spectral values of the current domain only: optimizers and sweeps revisit
 # seminorms on the domain they are solving, never on one they have left
 _SPECTRAL = Memo(1)
-# unit-ellipse eigenvalues by aspect ratio, shared by every ellipsoid: discs
-# of different radii under one seminorm meet the same ratios
+# unit-ellipse eigenvalues by aspect ratio rounded to 1e-9, shared by every
+# ellipsoid: discs of different radii under one seminorm meet the same
+# ratios. Each value is a function of its key alone (see _ellipse_lambda).
 _ELLIPSE_LAMBDA = Memo(8192)
 _ELLIPSE_VERTICES = 256
+# relative step of the ladder of anchor ratios whose meshes the ellipse
+# route solves on: the ratios within one step share one mesh
+_LADDER_STEP = 1e-3
 
 
 def _domain_key(domain):
@@ -161,29 +165,54 @@ def _domain_key(domain):
     return ("ellipsoid", domain.semi_axes.tobytes(), domain.rotation.tobytes())
 
 
-def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
-    """Euclidean eigenvalue of the ellipse with semi-axes (ratio, 1) via FEM
-    on an inscribed polygon; memoized because optimizer sweeps revisit ratios."""
-    from .fem import lambda_euclid_fem  # the FEM layer (and SciPy) loads on first use
+def _ladder_anchor(ratio: float) -> float:
+    """The largest ladder point round((1 + _LADDER_STEP)**k, 9), k >= 0, not
+    above ratio >= 1; the ladder starts at 1.0 exactly."""
+    k = math.floor(math.log(ratio) / math.log1p(_LADDER_STEP))
+    # the quotient may land one step off a ladder point either way
+    points = (round((1.0 + _LADDER_STEP) ** j, 9) for j in (k - 1, k, k + 1))
+    return max(p for p in points if p <= ratio)
 
-    # scale h with sqrt(ratio) so the element count stays roughly constant
-    local = replace(cfg, target_h=cfg.target_h * math.sqrt(ratio))
+
+def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
+    """Euclidean eigenvalue of the ellipse with semi-axes (ratio, 1) by FEM
+    on an inscribed 256-gon, memoized because optimizer sweeps revisit ratios.
+
+    The ratio is rounded to 1e-9, as its memo key is, and solved on the mesh
+    of its ladder anchor r0 (`_ladder_anchor`), built for the (r0, 1) 256-gon
+    at h = target_h * sqrt(r0) so that the element count stays roughly
+    constant. P1 is affine-equivariant: stretching that mesh by ratio / r0
+    along x meshes the (ratio, 1) 256-gon exactly, and its Euclidean problem
+    is the anchor mesh's problem under the Gram matrix diag(s^2, 1),
+    s = r0 / ratio. Nearby ratios thus share one mesh and one assembly (the
+    one-entry `fem.solver._polygon_levels` memo), each value depends on
+    (ratio, cfg) alone, and at a ladder point, ratio 1 among them, s = 1
+    and the solve is the Euclidean one on the ratio's own polygon."""
+    from .fem.solver import _fem, _polygon_levels  # the FEM layer (and SciPy) loads on first use
+
+    # 1e-9 key granularity: ratios reached through different scalings of the
+    # same seminorm differ by float roundoff and must land in one bucket
+    ratio = round(float(ratio), 9)
 
     def solve():
         try:
-            polygon = ellipse_polygon(ratio, 1.0, _ELLIPSE_VERTICES)
-        except InvalidDomainError as exc:
-            # the polygon is ours, not the caller's: a failed check means the
-            # image ellipse is too thin for its inscribed polygon
+            anchor = _ladder_anchor(ratio)
+            polygon = ellipse_polygon(anchor, 1.0, _ELLIPSE_VERTICES)
+        except (InvalidDomainError, OverflowError) as exc:
+            # the polygon is ours, not the caller's: a failed check, or a
+            # ratio whose ladder leaves the float range, means the image
+            # ellipse is too thin for its inscribed polygon
             raise SolverError(
                 f"the image ellipse of aspect ratio {ratio:.6g} is too thin to solve: "
                 f"its inscribed {_ELLIPSE_VERTICES}-gon fails the polygon checks ({exc})"
             ) from exc
-        return lambda_euclid_fem(polygon, local)
+        levels = _polygon_levels(polygon, replace(cfg, target_h=cfg.target_h * math.sqrt(anchor)))
+        s = anchor / ratio
+        lam, tor, h_used, err, _, prov = _fem(levels, np.diag([s * s, 1.0]))
+        # the stretch scales areas, and so the torsion, and x-lengths by 1 / s
+        return Spectral(lam, tor / s, prov, prov, error_estimate=err, h_used=h_used / s)
 
-    # 1e-9 key granularity: ratios reached through different scalings of the
-    # same seminorm differ by float roundoff and must land in one bucket
-    return _ELLIPSE_LAMBDA.get_or((round(float(ratio), 9), cfg), solve)
+    return _ELLIPSE_LAMBDA.get_or((ratio, cfg), solve)
 
 
 def _rank1_ellipsoid(domain: EllipsoidD, unit, scale: float) -> tuple:

@@ -452,3 +452,20 @@ def loop_optimize_quadratic(domain, q: float, mode: str = "min", cfg=None):
             break
     (best_theta, best_alpha), best_val = min(trace, key=lambda e: (sign * e[1], e[0]))
     return float(best_theta), float(best_alpha), float(best_val), best_alpha == 0.0, tuple(trace)
+
+
+# functional._ellipse_lambda as it was before nearby aspect ratios shared a
+# mesh: each ratio meshes its own (ratio, 1) 256-gon and solves the Euclidean
+# problem there. At ratio 1 and at every ladder point the shared-mesh route
+# must give its values bit for bit, and elsewhere stay within mesh noise.
+
+
+def own_mesh_ellipse_lambda(ratio: float, cfg):
+    """Spectral of the (ratio, 1) ellipse by FEM on its own inscribed 256-gon."""
+    import math
+    from dataclasses import replace
+
+    from anisospec.fem import lambda_euclid_fem
+
+    local = replace(cfg, target_h=cfg.target_h * math.sqrt(ratio))
+    return lambda_euclid_fem(ellipse_polygon(ratio, 1.0, 256), local)

@@ -158,6 +158,14 @@ class TestEval:
         assert (code, out) == (3, "")
         assert "aspect ratio 1e+08" in err
 
+    def test_ratio_past_the_ladder_exits_3(self):
+        # a ratio within 0.1% of the float maximum, whose next ladder point
+        # overflows, is too thin as well: a solver failure, not a traceback
+        domain = '{"kind": "ellipsoid", "semi_axes": [1.7976e308, 1]}'
+        code, out, err = run_cli(["eval", "--domain", domain, "--seminorm", EUCLID, "--q", "1"])
+        assert (code, out) == (3, "")
+        assert "aspect ratio 1.7976e+308 is too thin" in err
+
     def test_too_small_h_exits_3(self):
         # 1e10 cells: refused before the mesher lays a lattice it cannot hold
         code, out, err = run_cli(

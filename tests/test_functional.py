@@ -1,6 +1,7 @@
 """Tests for the product functional lambda_H * T_H^q and its optimizers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from anisospec.errors import (
     DegenerateSeminormError,
     InputError,
     InvalidSeminormError,
+    SolverError,
     UnsupportedError,
 )
 from anisospec.fem import SolverConfig, solver
@@ -35,12 +37,14 @@ from anisospec.functional import (
     q_sweep,
     verify_bounds,
 )
+from anisospec.memo import Memo
 from anisospec.seminorms import Spectral
 from anisospec.slicing import solve_rank1
 from conftest import (
     loop_augment_directions,
     loop_optimize_quadratic,
     loop_quadratic_values,
+    own_mesh_ellipse_lambda,
     random_convex_polygon,
     random_star_polygon,
 )
@@ -323,6 +327,76 @@ def test_ellipse_route_is_sign_blind():
     for (t, a), row in zip(inner, _route(ellipse, batch, cfg)):
         fv = eval_F(ellipse, _family_seminorm(t, a), 1.0, cfg)
         assert (fv.lambda_, fv.torsion, fv.lambda_provenance, fv.torsion_provenance) == row[:4]
+
+
+# the optimizer's ellipsoid settings (functional._default_quadratic_cfg)
+ELLIPSE_CFG = SolverConfig(target_h=0.1, richardson=True)
+
+
+@pytest.fixture
+def fresh_ellipse_memos(monkeypatch):
+    """Empty ratio and assembly memos, so that every value is built in the test."""
+
+    def reset():
+        monkeypatch.setattr(functional, "_ELLIPSE_LAMBDA", Memo(8192))
+        monkeypatch.setattr(solver, "_ASSEMBLIES", Memo(1))
+
+    reset()
+    return reset
+
+
+class TestEllipseLadder:
+    def test_own_mesh_bits_at_ladder_points(self, fresh_ellipse_memos):
+        # at ratio 1 (the disc probe's) and at an anchor the stretch is 1:
+        # the Euclidean solve on the ratio's own 256-gon
+        for k in (0, 1, 7, 500):
+            ratio = round(1.001**k, 9)
+            assert functional._ladder_anchor(ratio) == ratio
+            assert functional._ellipse_lambda(ratio, ELLIPSE_CFG) == own_mesh_ellipse_lambda(ratio, ELLIPSE_CFG)
+
+    def test_anchor_is_the_largest_ladder_point_below(self):
+        for ratio in (1.0, 1.0009999, 1.001, 1.0010001, 7.3, 40.0, 1e8):
+            anchor = functional._ladder_anchor(ratio)
+            k = round(math.log(anchor) / math.log1p(1e-3))
+            assert anchor == round(1.001**k, 9) <= ratio < round(1.001 ** (k + 1), 9)
+
+    @pytest.mark.parametrize("ratio", [math.inf, 1.7976e308])
+    def test_ratio_past_the_ladder_is_too_thin(self, ratio):
+        # an overflowed ratio, or one whose next ladder point overflows, fails
+        # as a thin image ellipse does, naming the ratio
+        with pytest.raises(SolverError, match=re.escape(f"aspect ratio {ratio:.6g} is too thin")):
+            functional._ellipse_lambda(ratio, ELLIPSE_CFG)
+
+    def test_within_mesh_noise_of_own_mesh(self, fresh_ellipse_memos):
+        ratios = np.geomspace(1.0, 40.0, 64).tolist()
+        moves = []
+        for ratio in ratios:
+            own = own_mesh_ellipse_lambda(round(ratio, 9), ELLIPSE_CFG).lambda_
+            moves.append(abs(functional._ellipse_lambda(ratio, ELLIPSE_CFG).lambda_ - own) / own)
+        # measured: at most 1.03e-5 (ratio 33.6), median 7.6e-8; against
+        # meshes four times finer both routes are off by up to 2e-4
+        assert max(moves) <= 2e-5
+        assert np.median(moves) <= 1e-6
+
+    def test_values_do_not_depend_on_call_order(self, fresh_ellipse_memos):
+        # the first two share one 1e-9 memo bucket; the rest visit three
+        # anchors back and forth
+        ratios = [1.2345678901, 1.2345678904, 1.0004, 1.0013, 1.0, 1.0021, 1.0009]
+        cfg = SolverConfig(target_h=0.2)
+        forward = [functional._ellipse_lambda(r, cfg) for r in ratios]
+        fresh_ellipse_memos()
+        backward = [functional._ellipse_lambda(r, cfg) for r in reversed(ratios)]
+        assert forward == backward[::-1]
+        assert forward[0] == forward[1]
+
+    def test_max_op_meshes_once_per_band_visit(self, fresh_ellipse_memos):
+        # perfbench disc-sweep seed 9805 op 1: its 114 ratios, 78 of them
+        # within 0.1% of 1, meshed one by one before they shared anchors
+        q_sweep(EllipsoidD([0.8519601523689644] * 2), [0.404253684670609, 0.471307414345069], "max")
+        assert functional._ELLIPSE_LAMBDA.misses == 114
+        # the golden-section phases descend to ratio 1 through the same
+        # bands, and the one-entry assembly memo rebuilds each on its visit
+        assert solver._ASSEMBLIES.misses <= 40
 
 
 @pytest.mark.parametrize("domain", [random_star_polygon(np.random.default_rng(21), 6, 0.3, 0.6), EllipsoidD([1.0, 1.0])])
