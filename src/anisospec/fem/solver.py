@@ -15,13 +15,16 @@ once per assembly. The pencil (K_Q, M) reduces to the standard symmetric
 problem A_Q = L^-1 K_Q L^-T, which is linear in Q like K_Q. One dense Cholesky
 factorization A_Q = C C^T (LAPACK `dpotrf`) gives T_H = |C^-1 g|^2 with
 g = L^-1 f (`dtrtrs`), and LAPACK `dsyevr` the lowest eigenpair (mu, z) of
-A_Q, whose generalized pair is (mu, L^-T z). Above `_DENSE_MAX`, one sparse
-LU factorization of K_Q gives the torsion and drives shift-invert Lanczos
-(`_lowest`), started from the torsion solution. Either eigenpair is accepted
-only when its generalized relative residual is at most `_EIG_TOL`. Every
-solve returns both factors; the Euclidean solver is the case Q = I. This is
-the discrete problem of the Euclidean solve on the mapped mesh B Omega with
-B = diag(1/alpha) R^T:
+A_Q, whose generalized pair is (mu, L^-T z). Above `_DENSE_MAX`, the
+assembly numbers its nodes along the principal axis of their coordinates,
+which keeps K_Q in a narrow band (George & Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981). One LAPACK band Cholesky
+factorization of K_Q (`dpbtrf`) gives the torsion and drives shift-invert
+Lanczos (`_lowest`, one `dpbtrs` solve a step), started from the torsion
+solution. Either eigenpair is accepted only when its generalized relative
+residual is at most `_EIG_TOL`. Every solve returns both factors; the
+Euclidean solver is the case Q = I. This is the discrete problem of the
+Euclidean solve on the mapped mesh B Omega with B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
 
@@ -34,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dstev, dsyevr, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dstev, dsyevr, dtrtrs
 from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
@@ -54,10 +56,12 @@ __all__ = [
 _EUCLID = np.eye(2)
 # bound on the relative eigen-residual |K y - lambda M y| / (lambda |M y|)
 _EIG_TOL = 1e-8
-# cap on the shift-invert Lanczos steps, one solve with the LU factors each
+# cap on the shift-invert Lanczos steps, one band Cholesky solve (dpbtrs) each
 _MAX_STEPS = 200
 # assemblies with at most this many interior nodes are solved densely: on a
-# 2-core host the dense solve is the faster one below about 110 nodes
+# 2-core host, one BLAS thread, the dense solve is the faster one below about
+# 110 nodes (0.33 ms against 0.40 ms for band Cholesky and Lanczos at n = 99,
+# 0.48 ms against 0.41 ms at n = 118, 0.87 against 0.44 at n = 154)
 _DENSE_MAX = 100
 # dsyevr's bisection tolerance: twice the underflow threshold (DLAMCH('S')),
 # which LAPACK documents as the setting for the most accurate eigenvalues
@@ -95,16 +99,30 @@ def p1_assemble(mesh: TriMesh):
     return K, M, f
 
 
+def _band_order(points: np.ndarray) -> np.ndarray:
+    """Order of the points by their projection on the principal axis of
+    their coordinates, the top eigenvector of the 2 x 2 second-moment
+    matrix: mesh neighbours stay close in it, so the stiffness matrix of a
+    mesh numbered this way has a narrow band."""
+    centred = points - points.mean(axis=0)
+    axis = np.linalg.eigh(centred.T @ centred)[1][:, -1]
+    return np.argsort(centred @ axis, kind="stable")
+
+
 @dataclass(frozen=True)
 class _Assembly:
     """P1 matrices of one mesh restricted to its interior nodes. The stiffness
     parts and the mass share one symmetric sparsity pattern, so a stored
-    (indptr, indices) pair reads the same as CSR or CSC. A mesh with at most
-    `_DENSE_MAX` interior nodes also keeps `dense` = (parts, L, g), and
-    `_solve` takes its dense branch: L is the lower Cholesky factor of the
-    dense M = L L^T, g = L^-1 f, and row k of parts (3 x n^2) is the reduced
-    stiffness part L^-1 K L^-T for K = Kxx, Kxy, Kyy, so that
-    (Q11, Q12, Q22) @ parts is A_Q = L^-1 K_Q L^-T flattened."""
+    (indptr, indices) pair reads the same as CSR or CSC. The stored entries
+    at `lower` are the pattern's lower triangle, and `band_slots` are their
+    flat positions in the (n, half_band + 1) array whose transpose is LAPACK's
+    lower band storage of K_Q. A mesh with more than `_DENSE_MAX` interior
+    nodes numbers them in `_band_order`; a smaller one keeps the mesh's order
+    and also keeps `dense` = (parts, L, g), and `_solve` takes its dense
+    branch: L is the lower Cholesky factor of the dense M = L L^T,
+    g = L^-1 f, and row k of parts (3 x n^2) is the reduced stiffness part
+    L^-1 K L^-T for K = Kxx, Kxy, Kyy, so that (Q11, Q12, Q22) @ parts is
+    A_Q = L^-1 K_Q L^-T flattened."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -114,6 +132,9 @@ class _Assembly:
     M: csc_matrix
     f: np.ndarray
     h: float
+    half_band: int
+    lower: np.ndarray
+    band_slots: np.ndarray
     dense: tuple[np.ndarray, ...] | None
 
     @classmethod
@@ -123,6 +144,8 @@ class _Assembly:
         n = len(free)
         if n == 0:
             raise SolverError("mesh has no interior nodes; decrease target_h")
+        if n > _DENSE_MAX:
+            free = free[_band_order(mesh.nodes[free])]
         index = np.full(mesh.n_nodes, -1, dtype=np.int64)
         index[free] = np.arange(n)
         local = index[mesh.triangles]
@@ -133,6 +156,10 @@ class _Assembly:
         keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
         indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
         indices = (keys % n).astype(np.int32)
+        # entry (i, j), i >= j, sits at row i - j, column j of the band
+        lower = np.flatnonzero(keys // n >= indices)
+        below = keys[lower] // n - indices[lower]
+        half_band = int(below.max())
 
         def gather(loc):
             return np.bincount(slot, weights=loc.ravel()[keep], minlength=len(keys))
@@ -162,6 +189,9 @@ class _Assembly:
             M=csc_matrix((parts[3], indices, indptr), shape=(n, n)),
             f=f,
             h=mesh.h,
+            half_band=half_band,
+            lower=lower,
+            band_slots=indices[lower].astype(np.int64) * (half_band + 1) + below,
             dense=dense,
         )
 
@@ -185,14 +215,22 @@ _ASSEMBLIES = Memo(1)
 def _polygon_levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
     """The polygon's `_levels` under cfg, built once while it is the last
     polygon solved."""
-    return _ASSEMBLIES.get_or((polygon.fingerprint, cfg.target_h, cfg.richardson), lambda: _levels(polygon, cfg))
+    return _named_levels(polygon.fingerprint, lambda: polygon, cfg)
 
 
-def _lowest(K, M, lu, u):
+def _named_levels(name, build, cfg: SolverConfig) -> list[_Assembly]:
+    """`_levels` under cfg of the polygon that build() returns, named by
+    `name`: build runs, and the polygon is meshed, only when name is not the
+    last polygon solved."""
+    return _ASSEMBLIES.get_or((name, cfg.target_h, cfg.richardson), lambda: _levels(build(), cfg))
+
+
+def _lowest(K, M, solve, u):
     """(lambda, y, M y), the lowest eigenpair of K y = lambda M y, by Lanczos
-    on K^-1 M (self-adjoint in the M inner product) from u. A step is one LU
-    solve and one product with M; keeping M V beside the basis V lets two
-    classical Gram-Schmidt passes reorthogonalize fully at no extra product.
+    on K^-1 M (self-adjoint in the M inner product) from u. A step is one
+    solve(r) = K^-1 r and one product with M; keeping M V beside the basis V
+    lets two classical Gram-Schmidt passes reorthogonalize fully at no extra
+    product.
     The top Ritz pair's true residual is tested once |beta_k s_k| is small."""
     m = min(len(u), _MAX_STEPS)
     V, MV, alpha, beta = np.empty((m, len(u))), np.empty((m, len(u))), np.zeros(m), np.zeros(m)
@@ -200,7 +238,7 @@ def _lowest(K, M, lu, u):
     b = np.sqrt(w @ Mw)
     for k in range(m):
         V[k], MV[k] = w / b, Mw / b
-        w = lu.solve(MV[k])
+        w = solve(MV[k])
         for _ in range(2):
             c = MV[: k + 1] @ w
             w -= c @ V[: k + 1]
@@ -227,16 +265,22 @@ def _torsion(value) -> float:
 
 
 def _solve_sparse(a: _Assembly, Q):
-    """(torsion, lambda, K_Q y - lambda M y, M y) from one sparse LU
-    factorization of K_Q and shift-invert Lanczos on its factors."""
+    """(torsion, lambda, K_Q y - lambda M y, M y) from one LAPACK band
+    Cholesky factorization of K_Q (`dpbtrf`) and shift-invert Lanczos on
+    its factor (`dpbtrs`)."""
     K = a.stiffness(Q)
-    # K_Q is symmetric positive definite: symmetric ordering, no pivoting
-    try:
-        lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-    u = lu.solve(a.f)
-    lam, y, My = _lowest(K, a.M, lu, u)
+    band = np.zeros((len(a.f), a.half_band + 1))
+    band.flat[a.band_slots] = K.data[a.lower]
+    # the transpose is the Fortran-ordered band, factored in place
+    c, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+    if info:
+        raise SolverError(f"band Cholesky factorization failed (dpbtrf info {info})")
+
+    def solve(r):
+        return dpbtrs(c, r, lower=1)[0]
+
+    u = solve(a.f)
+    lam, y, My = _lowest(K, a.M, solve, u)
     return _torsion(a.f @ u), lam, K @ y - lam * My, My
 
 
@@ -263,7 +307,7 @@ def _solve(a: _Assembly, Q):
     """(lambda, torsion) for the form with Gram matrix Q. An assembly that
     keeps its reduced dense matrices takes one dense Cholesky factorization
     and `dsyevr` in the frame of M's Cholesky factor; a larger one takes one
-    sparse LU factorization and Lanczos. Either eigenpair is accepted only
+    band Cholesky factorization and Lanczos. Either eigenpair is accepted only
     when its generalized relative residual |K_Q y - lambda M y| /
     (lambda |M y|) is at most `_EIG_TOL`."""
     torsion, lam, r, My = (_solve_sparse if a.dense is None else _solve_dense)(a, Q)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -184,11 +185,12 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
     constant. P1 is affine-equivariant: stretching that mesh by ratio / r0
     along x meshes the (ratio, 1) 256-gon exactly, and its Euclidean problem
     is the anchor mesh's problem under the Gram matrix diag(s^2, 1),
-    s = r0 / ratio. Nearby ratios thus share one mesh and one assembly (the
-    one-entry `fem.solver._polygon_levels` memo), each value depends on
+    s = r0 / ratio. Nearby ratios thus share one polygon, mesh and assembly
+    (the one-entry `fem.solver._named_levels` memo, keyed by the anchor, so a
+    ratio on the memoized anchor builds no polygon), each value depends on
     (ratio, cfg) alone, and at a ladder point, ratio 1 among them, s = 1
     and the solve is the Euclidean one on the ratio's own polygon."""
-    from .fem.solver import _fem, _polygon_levels  # the FEM layer (and SciPy) loads on first use
+    from .fem.solver import _fem, _named_levels  # the FEM layer (and SciPy) loads on first use
 
     # 1e-9 key granularity: ratios reached through different scalings of the
     # same seminorm differ by float roundoff and must land in one bucket
@@ -197,7 +199,10 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
     def solve():
         try:
             anchor = _ladder_anchor(ratio)
-            polygon = ellipse_polygon(anchor, 1.0, _ELLIPSE_VERTICES)
+            # the anchor's polygon is built only when its levels are not the memoized ones
+            polygon = partial(ellipse_polygon, anchor, 1.0, _ELLIPSE_VERTICES)
+            h = cfg.target_h * math.sqrt(anchor)
+            levels = _named_levels(("ellipse", anchor), polygon, replace(cfg, target_h=h))
         except (InvalidDomainError, OverflowError) as exc:
             # the polygon is ours, not the caller's: a failed check, or a
             # ratio whose ladder leaves the float range, means the image
@@ -206,7 +211,6 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
                 f"the image ellipse of aspect ratio {ratio:.6g} is too thin to solve: "
                 f"its inscribed {_ELLIPSE_VERTICES}-gon fails the polygon checks ({exc})"
             ) from exc
-        levels = _polygon_levels(polygon, replace(cfg, target_h=cfg.target_h * math.sqrt(anchor)))
         s = anchor / ratio
         lam, tor, h_used, err, _, prov = _fem(levels, np.diag([s * s, 1.0]))
         # the stretch scales areas, and so the torsion, and x-lengths by 1 / s

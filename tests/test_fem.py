@@ -18,10 +18,10 @@ from anisospec.fem import (
     solve_quadratic,
 )
 from anisospec.fem.meshing import _ear_clip, _grid_delaunay, _Refiner
-from anisospec.functional import _family_seminorm, eval_F
+from anisospec.functional import _family_seminorm, _ladder_anchor, eval_F
 from anisospec.memo import Memo
 from anisospec.fem import solver
-from anisospec.fem.solver import _Assembly, _solve, p1_assemble
+from anisospec.fem.solver import _EUCLID, _Assembly, _solve, p1_assemble
 from conftest import loop_dist_to_outline, mesh_areas, random_star_polygon
 
 J01_SQUARED = 5.783185962946785
@@ -33,7 +33,7 @@ FALLBACK_PENTAGON = Polygon2D([[0.6, 0.3], [0.1, 0.9], [-0.1, 0.2], [-0.8, 0.3],
 
 
 def _sparse_side(polygon, h):
-    # a mesh that `_solve` takes to splu and Lanczos, not the dense branch
+    # a mesh that `_solve` takes to band Cholesky and Lanczos, not the dense branch
     return len(mesh_polygon(polygon, h).interior_nodes()) > solver._DENSE_MAX
 
 
@@ -434,27 +434,24 @@ class TestAnisotropicSolve:
 
     def test_factorization_failure_is_solver_error(self, unit_square, monkeypatch):
         def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+            return dpbtrf(*args, **kwargs)[0], 7
 
         assert _sparse_side(unit_square, 0.1)
-        monkeypatch.setattr(solver, "splu", singular)
+        dpbtrf = solver.dpbtrf
+        monkeypatch.setattr(solver, "dpbtrf", singular)
         with pytest.raises(SolverError, match="factorization"):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
 
     def test_lanczos_failure_is_solver_error(self, unit_square, monkeypatch):
         # the torsion solve succeeds; every Lanczos solve returns NaN
         assert _sparse_side(unit_square, 0.1)
-        splu = solver.splu
+        dpbtrs, calls = solver.dpbtrs, itertools.count()
 
-        class Poisoned:
-            def __init__(self, *args, **kwargs):
-                self.lu, self.calls = splu(*args, **kwargs), 0
+        def poisoned(c, b, **kwargs):
+            x, info = dpbtrs(c, b, **kwargs)
+            return (x if next(calls) == 0 else np.full_like(x, np.nan)), info
 
-            def solve(self, b):
-                self.calls += 1
-                return self.lu.solve(b) if self.calls == 1 else np.full_like(b, np.nan)
-
-        monkeypatch.setattr(solver, "splu", Poisoned)
+        monkeypatch.setattr(solver, "dpbtrs", poisoned)
         with pytest.raises(SolverError, match="Lanczos"):
             lambda_euclid_fem(unit_square, SolverConfig(target_h=0.1))
 
@@ -516,7 +513,7 @@ class TestAnisotropicSolve:
 
     def test_dense_branch_matches_sparse_over_the_family(self):
         # the same mesh and grid: the dense branch (M's Cholesky frame, dsyevr) against
-        # splu and Lanczos, both factors
+        # band Cholesky and Lanczos, both factors
         a = _quad_polygon_assembly()
         assert a.dense is not None
         worst_lam = worst_tor = 0.0
@@ -531,19 +528,20 @@ class TestAnisotropicSolve:
         assert worst_tor <= 1e-12
 
     def test_branch_is_chosen_by_interior_node_count(self, monkeypatch):
-        # with splu broken, a mesh of _DENSE_MAX interior nodes still solves
-        # (dense branch) and one of _DENSE_MAX + 1 fails (sparse branch)
+        # with the band factorization broken, a mesh of _DENSE_MAX interior
+        # nodes still solves (dense branch) and one of _DENSE_MAX + 1 fails
+        # (sparse branch)
         def broken(*args, **kwargs):
-            raise RuntimeError("splu must not run here")
+            raise SolverError("dpbtrf must not run here")
 
         Q = _family_seminorm(0.4, 0.3).gram()
         small, large = _Assembly.of(_strip(solver._DENSE_MAX)), _Assembly.of(_strip(solver._DENSE_MAX + 1))
         assert (len(small.f), len(large.f)) == (solver._DENSE_MAX, solver._DENSE_MAX + 1)
         assert small.dense is not None and large.dense is None
         expected = _solve(_sparse(small), Q)
-        monkeypatch.setattr(solver, "splu", broken)
+        monkeypatch.setattr(solver, "dpbtrf", broken)
         assert _solve(small, Q) == pytest.approx(expected, rel=1e-12)
-        with pytest.raises(SolverError, match="splu must not run here"):
+        with pytest.raises(SolverError, match="dpbtrf must not run here"):
             _solve(large, Q)
 
     def test_matches_dense_eigh_on_a_thin_l_shape(self, l_shape):
@@ -551,3 +549,35 @@ class TestAnisotropicSolve:
         Q = _family_seminorm(0.0, 1e-4).gram()
         dense = scipy.linalg.eigh(a.stiffness(Q).toarray(), a.M.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
         assert _solve(a, Q)[0] == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("h", [0.1, 0.3])
+    def test_indefinite_gram_matrix_is_solver_error(self, unit_square, h):
+        # K_Q = Kxx - Kyy / 2 is indefinite: the band (n = 150) and the dense
+        # (n < _DENSE_MAX) Cholesky factorizations both fail on it
+        a = _Assembly.of(mesh_polygon(unit_square, h))
+        assert (a.dense is None) == (h == 0.1)
+        with pytest.raises(SolverError, match="factorization"):
+            _solve(a, np.diag([1.0, -0.5]))
+
+    def test_band_order_is_computed_once_per_assembly(self, unit_square, monkeypatch):
+        orders = []
+        band_order = solver._band_order
+        monkeypatch.setattr(solver, "_band_order", lambda points: orders.append(len(points)) or band_order(points))
+        monkeypatch.setattr(solver, "_ASSEMBLIES", Memo(1))
+        for alpha in np.geomspace(0.05, 1.0, 20):
+            solve_quadratic(unit_square, _family_seminorm(0.3, alpha), SolverConfig(target_h=0.1))
+        assert orders == [150]
+
+    @pytest.mark.parametrize("ratio", [1.0, 32.0])
+    def test_matches_dense_solvers_on_ladder_anchors(self, ratio):
+        # the ellipse route's meshes, both Richardson levels: n from 417 to
+        # 2,569 and half-bandwidths from 8 (thin) to 58 (the disc)
+        anchor = _ladder_anchor(ratio)
+        mesh = mesh_polygon(ellipse_polygon(anchor, 1.0), 0.1 * np.sqrt(anchor))
+        for a in (_Assembly.of(mesh), _Assembly.of(mesh.refined())):
+            assert a.dense is None and 8 <= a.half_band <= 58
+            K, M = a.stiffness(_EUCLID).toarray(), a.M.toarray()
+            lam, tor = _solve(a, _EUCLID)
+            dense = scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0]
+            assert lam == pytest.approx(dense, rel=1e-10)
+            assert tor == pytest.approx(a.f @ scipy.linalg.solve(K, a.f, assume_a="pos"), rel=1e-12)

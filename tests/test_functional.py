@@ -389,14 +389,19 @@ class TestEllipseLadder:
         assert forward == backward[::-1]
         assert forward[0] == forward[1]
 
-    def test_max_op_meshes_once_per_band_visit(self, fresh_ellipse_memos):
+    def test_max_op_meshes_once_per_band_visit(self, fresh_ellipse_memos, monkeypatch):
         # perfbench disc-sweep seed 9805 op 1: its 114 ratios, 78 of them
         # within 0.1% of 1, meshed one by one before they shared anchors
+        polygons = []
+        build = functional.ellipse_polygon
+        monkeypatch.setattr(functional, "ellipse_polygon", lambda *args: polygons.append(args) or build(*args))
         q_sweep(EllipsoidD([0.8519601523689644] * 2), [0.404253684670609, 0.471307414345069], "max")
         assert functional._ELLIPSE_LAMBDA.misses == 114
         # the golden-section phases descend to ratio 1 through the same
-        # bands, and the one-entry assembly memo rebuilds each on its visit
+        # bands, and the one-entry assembly memo rebuilds each on its visit;
+        # a ratio on the memoized anchor builds no anchor polygon
         assert solver._ASSEMBLIES.misses <= 40
+        assert len(polygons) == solver._ASSEMBLIES.misses
 
 
 @pytest.mark.parametrize("domain", [random_star_polygon(np.random.default_rng(21), 6, 0.3, 0.6), EllipsoidD([1.0, 1.0])])
