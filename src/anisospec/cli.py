@@ -132,31 +132,31 @@ def _solver_cfg(args, default: SolverConfig) -> SolverConfig:
     )
 
 
-def _cmd_eval(args) -> tuple:
-    domain = domain_from_json(_load_json_arg(args.domain, "domain"))
-    H = seminorm_from_json(_load_json_arg(args.seminorm, "seminorm"))
-    if args.format != "json":
-        raise InputError("eval reports are JSON only")
+def _factors(r) -> dict:
+    """The factor fields of a FunctionalValue, Spectral or BoundsReport."""
+    return {
+        "lambda": r.lambda_,
+        "torsion": r.torsion,
+        "lambda_provenance": r.lambda_provenance,
+        "torsion_provenance": r.torsion_provenance,
+    }
+
+
+def _cmd_eval(args, domain, H) -> tuple:
     fv = eval_F(domain, H, args.q, _solver_cfg(args, SolverConfig()))
     report = {
         "command": "eval",
         "q": fv.q,
-        "lambda": fv.lambda_,
-        "torsion": fv.torsion,
         "value": fv.value,
         "error_estimate": fv.error_estimate,
-        "lambda_provenance": fv.lambda_provenance,
-        "torsion_provenance": fv.torsion_provenance,
         "seminorm": seminorm_to_json(fv.seminorm),
         "domain": domain_to_json(domain),
+        **_factors(fv),
     }
     return canonical_json(report), 0
 
 
-def _cmd_optimize(args) -> tuple:
-    domain = domain_from_json(_load_json_arg(args.domain, "domain"))
-    if args.format != "json":
-        raise InputError("optimize reports are JSON only")
+def _cmd_optimize(args, domain) -> tuple:
     if args.seminorm_class == "rank1":
         rep = optimize_rank1(domain, args.q, args.mode)
     else:
@@ -171,13 +171,10 @@ def _cmd_optimize(args) -> tuple:
         "value": rep.value,
         "boundary_flag": rep.boundary_flag,
         "evaluations": len(rep.trace),
-        "lambda": rep.best.lambda_,
-        "torsion": rep.best.torsion,
         "error_estimate": rep.best.error_estimate,
-        "lambda_provenance": rep.best.lambda_provenance,
-        "torsion_provenance": rep.best.torsion_provenance,
         "seminorm": seminorm_to_json(rep.best.seminorm),
         "domain": domain_to_json(domain),
+        **_factors(rep.best),
     }
     return canonical_json(report), 0
 
@@ -193,8 +190,7 @@ def _sweep_csv(sweep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> tuple:
-    domain = domain_from_json(_load_json_arg(args.domain, "domain"))
+def _cmd_sweep(args, domain) -> tuple:
     qs = _parse_q_grid(args.q_grid)
     # the rank-1 class runs no FEM and ignores the settings
     cfg = _solver_cfg(args, _default_quadratic_cfg(domain))
@@ -215,10 +211,7 @@ def _cmd_sweep(args) -> tuple:
                 "alpha": rep.alpha,
                 "value": rep.value,
                 "boundary_flag": rep.boundary_flag,
-                "lambda": rep.best.lambda_,
-                "torsion": rep.best.torsion,
-                "lambda_provenance": rep.best.lambda_provenance,
-                "torsion_provenance": rep.best.torsion_provenance,
+                **_factors(rep.best),
             }
             for q, rep in zip(sweep.qs, sweep.reports)
         ],
@@ -227,20 +220,12 @@ def _cmd_sweep(args) -> tuple:
     return canonical_json(report), 0
 
 
-def _cmd_bounds(args) -> tuple:
-    domain = domain_from_json(_load_json_arg(args.domain, "domain"))
-    H = seminorm_from_json(_load_json_arg(args.seminorm, "seminorm"))
-    if args.format != "json":
-        raise InputError("bounds reports are JSON only")
+def _cmd_bounds(args, domain, H) -> tuple:
     br = verify_bounds(domain, H, _solver_cfg(args, SolverConfig()))
     report = {
         "command": "bounds",
         "measure": br.measure,
-        "lambda": br.lambda_,
-        "torsion": br.torsion,
         "product": br.product,
-        "lambda_provenance": br.lambda_provenance,
-        "torsion_provenance": br.torsion_provenance,
         "checks": [
             {
                 "name": c.name,
@@ -253,6 +238,7 @@ def _cmd_bounds(args) -> tuple:
         ],
         "seminorm": seminorm_to_json(H),
         "domain": domain_to_json(domain),
+        **_factors(br),
     }
     return canonical_json(report), 0
 
@@ -412,14 +398,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "bounds": _cmd_bounds,
-    "reproduce": _cmd_reproduce,
-    "kj-demo": _cmd_kj_demo,
+# command -> (handler, the JSON inputs it is called with, other required flags, JSON-only reports)
+_COMMANDS = {
+    "eval": (_cmd_eval, ("domain", "seminorm"), ("q",), True),
+    "optimize": (_cmd_optimize, ("domain",), ("q",), True),
+    "sweep": (_cmd_sweep, ("domain",), ("q_grid",), False),
+    "bounds": (_cmd_bounds, ("domain", "seminorm"), (), True),
+    "reproduce": (_cmd_reproduce, (), (), False),
+    "kj-demo": (_cmd_kj_demo, (), (), False),
 }
+_FROM_JSON = {"domain": domain_from_json, "seminorm": seminorm_from_json}
 
 
 def _require(args, *names) -> None:
@@ -440,15 +428,12 @@ def main(argv=None) -> int:
             # parsed later, still win
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _spec_argv(args) + argv[at:])
-        if args.command in ("eval",):
-            _require(args, "domain", "seminorm", "q")
-        elif args.command == "optimize":
-            _require(args, "domain", "q")
-        elif args.command == "sweep":
-            _require(args, "domain", "q_grid")
-        elif args.command == "bounds":
-            _require(args, "domain", "seminorm")
-        text, code = _HANDLERS[args.command](args)
+        handler, inputs, flags, json_only = _COMMANDS[args.command]
+        _require(args, *inputs, *flags)
+        loaded = [_FROM_JSON[name](_load_json_arg(getattr(args, name), name)) for name in inputs]
+        if json_only and args.format != "json":
+            raise InputError(f"{args.command} reports are JSON only")
+        text, code = handler(args, *loaded)
     except (InputError, DegenerateSeminormError, json.JSONDecodeError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -353,14 +353,10 @@ def eval_F(domain, H: Seminorm, q: float, cfg: SolverConfig = SolverConfig()) ->
     )
 
 
-def _rank1_direction(theta: float) -> Rank1Seminorm:
-    return Rank1Seminorm((math.cos(theta), math.sin(theta)))
-
-
 def _family_seminorm(theta: float, alpha: float) -> Seminorm:
-    if alpha <= 0.0:
-        return _rank1_direction(theta)
     c, s = math.cos(theta), math.sin(theta)
+    if alpha <= 0.0:
+        return Rank1Seminorm((c, s))
     return QuadraticSeminorm([[c, -s], [s, c]], [1.0, alpha])
 
 
@@ -453,7 +449,7 @@ def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     trace = [(t % math.pi, row[0] * row[1] ** q) for t, row in zip(thetas.tolist(), rows)]
 
     def f(theta: float) -> float:
-        val = eval_F(domain, _rank1_direction(theta), q, cfg).value
+        val = eval_F(domain, _family_seminorm(theta, 0.0), q, cfg).value
         trace.append((float(theta % math.pi), val))
         return sign * val
 
@@ -464,7 +460,7 @@ def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     _golden(f, float(lo), float(hi), 1e-6)
 
     best_theta, best_val = min(trace, key=lambda e: (sign * e[1], e[0]))
-    best = eval_F(domain, _rank1_direction(best_theta), q, cfg)
+    best = eval_F(domain, _family_seminorm(best_theta, 0.0), q, cfg)
     return OptimizationReport(
         mode=mode,
         seminorm_class="rank1",
@@ -530,7 +526,7 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     d_alpha = 0.05
     for _ in range(24):
         new_alpha, _ = _golden(lambda a: f(theta, a), max(0.0, alpha - d_alpha), min(1.0, alpha + d_alpha), 1e-5)
-        new_alpha = 0.0 if new_alpha < floor else float(new_alpha)
+        new_alpha = snap(new_alpha)
         new_theta, _ = _golden(lambda t: f(t, new_alpha), theta - d_theta, theta + d_theta, 1e-5)
         moved = max(abs(new_alpha - alpha), abs(new_theta - theta))
         theta, alpha = float(new_theta % math.pi), new_alpha
@@ -575,18 +571,6 @@ def q_sweep(domain, q_list, mode: str = "min", seminorm_class: str = "quadratic"
     return QSweep(qs=tuple(qs), reports=reports, threshold_bracket=bracket)
 
 
-def _is_convex(domain) -> bool:
-    if isinstance(domain, (EllipsoidD, BoxD)):
-        return True
-    return domain.is_convex
-
-
-def _is_symmetric(domain) -> bool:
-    if isinstance(domain, (EllipsoidD, BoxD)):
-        return True
-    return is_centrally_symmetric(domain)
-
-
 def verify_bounds(domain, H: Seminorm, cfg: SolverConfig = SolverConfig()) -> BoundsReport:
     """Check the product lambda_H * T_H against the measure-based bounds.
 
@@ -602,7 +586,9 @@ def verify_bounds(domain, H: Seminorm, cfg: SolverConfig = SolverConfig()) -> Bo
     vol = measure(domain)
     d = H.dimension
     slack = 3.0 * sp.error_estimate * (sp.lambda_ + sp.torsion) + 1e-12 * max(1.0, vol)
-    convex = _is_convex(domain)
+    # boxes and ellipsoids are convex and centrally symmetric
+    polygon = isinstance(domain, Polygon2D)
+    convex = domain.is_convex if polygon else True
 
     checks = [
         BoundCheck(
@@ -628,7 +614,7 @@ def verify_bounds(domain, H: Seminorm, cfg: SolverConfig = SolverConfig()) -> Bo
             BoundCheck("convex_lower", None, None, None, note="needs a convex domain")
         )
     else:
-        s = 0.5 if _is_symmetric(domain) else 1.0
+        s = 0.5 if not polygon or is_centrally_symmetric(domain) else 1.0
         rhs = math.pi**2 * vol / (4.0 * k * float(d) ** (s * (d + 2)) * (d + 2))
         checks.append(BoundCheck("convex_lower", product, rhs, bool(product >= rhs - slack)))
 

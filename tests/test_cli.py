@@ -265,6 +265,69 @@ class TestSweep:
         assert "--q-grid" in err
 
 
+# every bad-input path main checks before a handler runs, written out rather
+# than read from the command table: required flags first, then the domain and
+# seminorm JSON, then the JSON-only format rule
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["eval", "--seminorm", AXIS_SEMINORM, "--q", "1"], "eval needs --domain", id="eval-domain"),
+        pytest.param(["eval", "--domain", SQUARE, "--q", "1"], "eval needs --seminorm", id="eval-seminorm"),
+        pytest.param(["eval", "--domain", SQUARE, "--seminorm", AXIS_SEMINORM], "eval needs --q", id="eval-q"),
+        pytest.param(["optimize", "--q", "1"], "optimize needs --domain", id="optimize-domain"),
+        pytest.param(["optimize", "--domain", SQUARE], "optimize needs --q", id="optimize-q"),
+        pytest.param(["sweep", "--q-grid", "1:2:1"], "sweep needs --domain", id="sweep-domain"),
+        pytest.param(["sweep", "--domain", SQUARE], "sweep needs --q-grid", id="sweep-q-grid"),
+        pytest.param(["bounds", "--seminorm", AXIS_SEMINORM], "bounds needs --domain", id="bounds-domain"),
+        pytest.param(["bounds", "--domain", SQUARE], "bounds needs --seminorm", id="bounds-seminorm"),
+        pytest.param(["eval"], "eval needs --domain", id="eval-first-missing"),
+        pytest.param(["sweep"], "sweep needs --domain", id="sweep-first-missing"),
+        pytest.param(
+            ["eval", "--domain", "{broken", "--seminorm", AXIS_SEMINORM], "eval needs --q", id="eval-flag-before-json"
+        ),
+        pytest.param(
+            ["eval", "--domain", SQUARE, "--seminorm", AXIS_SEMINORM, "--q", "1", "--format", "csv"],
+            "eval reports are JSON only",
+            id="eval-csv",
+        ),
+        pytest.param(
+            ["optimize", "--domain", SQUARE, "--q", "1", "--format", "csv"],
+            "optimize reports are JSON only",
+            id="optimize-csv",
+        ),
+        pytest.param(
+            ["bounds", "--domain", SQUARE, "--seminorm", AXIS_SEMINORM, "--format", "csv"],
+            "bounds reports are JSON only",
+            id="bounds-csv",
+        ),
+        pytest.param(
+            ["eval", "--domain", "{broken", "--seminorm", AXIS_SEMINORM, "--q", "1", "--format", "csv"],
+            "Expecting property name",
+            id="eval-json-before-csv",
+        ),
+        pytest.param(
+            ["optimize", "--domain", "{broken", "--q", "1", "--format", "csv"],
+            "Expecting property name",
+            id="optimize-json-before-csv",
+        ),
+        pytest.param(
+            ["bounds", "--domain", SQUARE, "--seminorm", "{broken", "--format", "csv"],
+            "Expecting property name",
+            id="bounds-seminorm-json-before-csv",
+        ),
+        pytest.param(
+            ["sweep", "--domain", "{broken", "--q-grid", "nonsense"],
+            "Expecting property name",
+            id="sweep-json-before-grid",
+        ),
+    ],
+)
+def test_bad_input_exits_2_with_one_message(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{argv[0]}: {message}") and err.count("\n") == 1
+
+
 class _Captured(Exception):
     pass
 

@@ -29,7 +29,6 @@ from anisospec.functional import (
     _family_batch,
     _family_seminorm,
     _rank1_angles,
-    _rank1_direction,
     _route,
     eval_F,
     optimize_quadratic,
@@ -272,8 +271,8 @@ def test_rank1_scan_is_eval_F_bit_for_bit(name, poly):
     rows = _route(poly, _family_batch(thetas), SolverConfig())
     report = optimize_rank1(poly, q, "min")
     for i, theta in enumerate(thetas):
-        sp = solve_rank1(poly, _rank1_direction(theta))
-        fv = eval_F(poly, _rank1_direction(theta), q)
+        sp = solve_rank1(poly, _family_seminorm(theta, 0.0))
+        fv = eval_F(poly, _family_seminorm(theta, 0.0), q)
         assert rows[i] == (sp.lambda_, sp.torsion, "slicing", "slicing")
         assert (fv.lambda_, fv.torsion) == (sp.lambda_, sp.torsion)
         assert report.trace[i] == (theta % math.pi, fv.value)
@@ -303,7 +302,7 @@ def test_quadratic_grid_is_eval_F_bit_for_bit(name, poly, richardson):
     inner = [(t, a) for t in thetas for a in alphas[1:]]
     rows = iter(_route(poly, _family_batch(*zip(*inner)), cfg))
     for i, t in enumerate(thetas):
-        sp = solve_rank1(poly, _rank1_direction(t))
+        sp = solve_rank1(poly, _family_seminorm(t, 0.0))
         assert boundary[i] == (sp.lambda_, sp.torsion, "slicing", "slicing")
         assert (lams[i][0], tors[i][0]) == boundary[i][:2]
         for j, a in enumerate(alphas[1:], 1):
