@@ -28,6 +28,19 @@ Euclidean solve on the mapped mesh B Omega with B = diag(1/alpha) R^T:
 
     lambda_H(Omega) = lambda(B Omega),   T_H(Omega) = T(B Omega) * prod(alpha).
 
+Each solve also returns the exact gradient of both factors in (Q11, Q12,
+Q22) from the vectors it already holds (Hellmann-Feynman; Kato, Perturbation
+Theory for Linear Operators, 1966): lambda_h is the minimum over y of the
+Rayleigh quotient y^T K_Q y / y^T M y, linear in Q, and T_h the maximum over
+w of 2 f^T w - w^T K_Q w, so d lambda / d Q_k = y^T K_k y / y^T M y at the
+eigenvector and d T / d Q_k = -u^T K_k u at the torsion solution
+u = K_Q^-1 f. On the dense branch these are z^T P_k z and -(x^T P_k x) over
+the reduced parts P_k = L^-1 K_k L^-T, with x = A_Q^-1 g (one more
+`dtrtrs`). lambda_h is thus concave and T_h convex in Q, and Euler's
+identities lambda = Q . grad(lambda), T = -Q . grad(T) hold; the tangent
+planes bound each factor on one side everywhere. A Richardson pair
+extrapolates two meshes and has no gradient.
+
 Only nondegenerate quadratics have a FEM problem here: a vanishing alpha is
 rejected, and the zero seminorm raises its distinguished error.
 """
@@ -38,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dstev, dsyevr, dtrtrs
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
@@ -113,7 +126,9 @@ def _band_order(points: np.ndarray) -> np.ndarray:
 class _Assembly:
     """P1 matrices of one mesh restricted to its interior nodes. The stiffness
     parts and the mass share one symmetric sparsity pattern, so a stored
-    (indptr, indices) pair reads the same as CSR or CSC. The stored entries
+    (indptr, indices) pair reads the same as CSR or CSC. `parts` stacks
+    Kxx, Kxy and Kyy into one (3n, n) matrix whose data holds the three
+    parts' stored entries one after another. The stored entries
     at `lower` are the pattern's lower triangle, and `band_slots` are their
     flat positions in the (n, half_band + 1) array whose transpose is LAPACK's
     lower band storage of K_Q. A mesh with more than `_DENSE_MAX` interior
@@ -126,9 +141,7 @@ class _Assembly:
 
     indptr: np.ndarray
     indices: np.ndarray
-    kxx: np.ndarray
-    kxy: np.ndarray
-    kyy: np.ndarray
+    parts: csr_matrix
     M: csc_matrix
     f: np.ndarray
     h: float
@@ -180,12 +193,11 @@ class _Assembly:
                 return (A + A.T).ravel() * 0.5
 
             dense = (np.stack([reduced(K) for K in stiff]), L, dtrtrs(L, f, lower=1)[0])
+        stacked = np.append(indptr[:-1] + np.arange(3)[:, None] * len(keys), 3 * len(keys))
         return cls(
             indptr=indptr,
             indices=indices,
-            kxx=parts[0],
-            kxy=parts[1],
-            kyy=parts[2],
+            parts=csr_matrix((np.concatenate(parts[:3]), np.tile(indices, 3), stacked), shape=(3 * n, n)),
             M=csc_matrix((parts[3], indices, indptr), shape=(n, n)),
             f=f,
             h=mesh.h,
@@ -197,7 +209,8 @@ class _Assembly:
 
     def stiffness(self, Q) -> csc_matrix:
         """K_Q for the form integral(grad u . Q grad v), Q symmetric 2 x 2."""
-        data = Q[0, 0] * self.kxx + Q[0, 1] * self.kxy + Q[1, 1] * self.kyy
+        kxx, kxy, kyy = self.parts.data.reshape(3, -1)
+        data = Q[0, 0] * kxx + Q[0, 1] * kxy + Q[1, 1] * kyy
         return csc_matrix((data, self.indices, self.indptr), shape=self.M.shape)
 
 
@@ -265,9 +278,10 @@ def _torsion(value) -> float:
 
 
 def _solve_sparse(a: _Assembly, Q):
-    """(torsion, lambda, K_Q y - lambda M y, M y) from one LAPACK band
-    Cholesky factorization of K_Q (`dpbtrf`) and shift-invert Lanczos on
-    its factor (`dpbtrs`)."""
+    """(torsion, lambda, K_Q y - lambda M y, M y, gradient) from one LAPACK
+    band Cholesky factorization of K_Q (`dpbtrf`) and shift-invert Lanczos
+    on its factor (`dpbtrs`). The gradient rows are y^T K_k y / y^T M y and
+    -(u^T K_k u), u = K_Q^-1 f, over the stiffness parts K_k."""
     K = a.stiffness(Q)
     band = np.zeros((len(a.f), a.half_band + 1))
     band.flat[a.band_slots] = K.data[a.lower]
@@ -281,14 +295,18 @@ def _solve_sparse(a: _Assembly, Q):
 
     u = solve(a.f)
     lam, y, My = _lowest(K, a.M, solve, u)
-    return _torsion(a.f @ u), lam, K @ y - lam * My, My
+    gradient = np.array([(a.parts @ x).reshape(3, -1) @ x for x in (y, u)])
+    return _torsion(a.f @ u), lam, K @ y - lam * My, My, gradient * ((1.0 / (y @ My),), (-1.0,))
 
 
 def _solve_dense(a: _Assembly, Q):
-    """(torsion, lambda, K_Q y - lambda M y, M y) in the frame of M = L L^T:
-    one dense Cholesky factorization of A_Q = L^-1 K_Q L^-T gives the torsion
-    g^T A_Q^-1 g, and `dsyevr` the lowest eigenpair (lambda, z) of A_Q. With
-    y = L^-T z, K_Q y - lambda M y = L (A_Q z - lambda z) and M y = L z."""
+    """(torsion, lambda, K_Q y - lambda M y, M y, gradient) in the frame of
+    M = L L^T: one dense Cholesky factorization A_Q = C C^T of
+    A_Q = L^-1 K_Q L^-T gives the torsion g^T A_Q^-1 g = |C^-1 g|^2, and
+    `dsyevr` the lowest eigenpair (lambda, z) of A_Q. With y = L^-T z,
+    K_Q y - lambda M y = L (A_Q z - lambda z) and M y = L z. The gradient
+    rows are (z^T P_k z) and -(x^T P_k x) over the reduced parts P_k, with
+    x = A_Q^-1 g = C^-T C^-1 g, one more triangular solve."""
     parts, L, g = a.dense
     A = np.dot((Q[0, 0], Q[0, 1], Q[1, 1]), parts).reshape(L.shape)
     c, info = dpotrf(A, lower=1)
@@ -300,34 +318,43 @@ def _solve_dense(a: _Assembly, Q):
     if info:
         raise SolverError(f"dense eigensolver failed (dsyevr info {info})")
     lam, z = float(w[0]), z[:, 0]
-    return torsion, lam, L @ (A @ z - lam * z), L @ z
+    # both vectors' quadratic forms of the three parts from one product
+    n = len(g)
+    Z = np.array([z, dtrtrs(c, v, lower=1, trans=1)[0]])
+    gradient = np.matmul((Z @ parts.reshape(3 * n, n).T).reshape(2, 3, n), Z[:, :, None])[:, :, 0]
+    gradient[1] *= -1.0
+    return torsion, lam, L @ (A @ z - lam * z), L @ z, gradient
 
 
 def _solve(a: _Assembly, Q):
-    """(lambda, torsion) for the form with Gram matrix Q. An assembly that
-    keeps its reduced dense matrices takes one dense Cholesky factorization
-    and `dsyevr` in the frame of M's Cholesky factor; a larger one takes one
-    band Cholesky factorization and Lanczos. Either eigenpair is accepted only
-    when its generalized relative residual |K_Q y - lambda M y| /
-    (lambda |M y|) is at most `_EIG_TOL`."""
-    torsion, lam, r, My = (_solve_sparse if a.dense is None else _solve_dense)(a, Q)
+    """(lambda, torsion, gradient) for the form with Gram matrix Q. An
+    assembly that keeps its reduced dense matrices takes one dense Cholesky
+    factorization and `dsyevr` in the frame of M's Cholesky factor; a larger
+    one takes one band Cholesky factorization and Lanczos. Either eigenpair
+    is accepted only when its generalized relative residual |K_Q y - lambda
+    M y| / (lambda |M y|) is at most `_EIG_TOL`. The gradient is the (2, 3)
+    array of the derivatives of lambda and of the torsion in (Q11, Q12, Q22)
+    (see the module docstring)."""
+    torsion, lam, r, My, gradient = (_solve_sparse if a.dense is None else _solve_dense)(a, Q)
     residual = float(np.linalg.norm(r) / (lam * np.linalg.norm(My)))
     if not residual <= _EIG_TOL:
         raise SolverError(f"eigen-residual {residual:.3e} exceeds the bound {_EIG_TOL:.1e}")
-    return lam, torsion
+    return lam, torsion, gradient
 
 
 def _fem(levels: list[_Assembly], Q):
-    """(lambda, torsion, h_used, lambda error, torsion error, provenance) on
-    the first level, extrapolated from the second (its uniform refinement)
-    under second-order convergence when there is one."""
-    lam, tor = _solve(levels[0], Q)
+    """(lambda, torsion, h_used, lambda error, torsion error, provenance,
+    gradient) on the first level, extrapolated from the second (its uniform
+    refinement) under second-order convergence when there is one. Only a
+    single level has a gradient; an extrapolated pair's is None, since
+    its values are not those of one fixed discrete problem."""
+    lam, tor, gradient = _solve(levels[0], Q)
     if len(levels) == 1:
-        return lam, tor, levels[0].h, 0.0, 0.0, "fem"
-    lam_fine, tor_fine = _solve(levels[1], Q)
+        return lam, tor, levels[0].h, 0.0, 0.0, "fem", gradient
+    lam_fine, tor_fine, _ = _solve(levels[1], Q)
     lam, err_lam = _extrapolate(lam, lam_fine)
     tor, err_tor = _extrapolate(tor, tor_fine)
-    return lam, tor, levels[1].h, err_lam, err_tor, "fem_richardson"
+    return lam, tor, levels[1].h, err_lam, err_tor, "fem_richardson", None
 
 
 def _extrapolate(coarse, fine):
@@ -338,7 +365,7 @@ def _extrapolate(coarse, fine):
 def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean first Dirichlet eigenvalue and torsional rigidity of a
     polygon by P1 FEM. error_estimate is the eigenvalue's."""
-    lam, tor, h_used, err, _, prov = _fem(_levels(polygon, cfg), _EUCLID)
+    lam, tor, h_used, err, _, prov, _ = _fem(_levels(polygon, cfg), _EUCLID)
     return Spectral(lam, tor, prov, prov, error_estimate=err, h_used=h_used)
 
 
@@ -360,5 +387,5 @@ def solve_quadratic(
         raise DegenerateSeminormError("zero seminorm has lambda=0, T=infinity")
     if codim == 1:
         raise InvalidSeminormError("solve_quadratic needs a nondegenerate seminorm (eval_F slices a rank-1 one)")
-    lam, tor, h_used, err_lam, err_tor, prov = _fem(_polygon_levels(polygon, cfg), H.gram())
+    lam, tor, h_used, err_lam, err_tor, prov, _ = _fem(_polygon_levels(polygon, cfg), H.gram())
     return Spectral(lam, tor, prov, prov, error_estimate=max(err_lam, err_tor), h_used=h_used)

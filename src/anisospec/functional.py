@@ -16,10 +16,12 @@ operator norm at 1, and a = 0 is exactly the rank-1 boundary of the family.
 of one class in array form and sends the whole batch to one solver, and
 `_spectra` memoizes each batch for the domain being evaluated. `eval_F`
 routes a batch of one through `_spectral`, the rank-1 optimizer its whole
-angle scan, and the quadratic optimizer its grid as two batches, the
-rank-1 boundary column and the inner cells. Degenerate quadratics (one
-alpha = 0) are exactly rank-1 and go to the exact slicing solver or to a
-closed form; the zero seminorm is rejected as a distinguished error.
+angle scan, and the quadratic optimizer its grid: the rank-1 boundary
+column, then the inner cells, as one batch or, on a polygon at one FEM
+level, in midpoint batches that skip the cells the solves' exact gradients
+prove worse than the grid optimum (`_pruned_grid`). Degenerate quadratics
+(one alpha = 0) are exactly rank-1 and go to the exact slicing solver or to
+a closed form; the zero seminorm is rejected as a distinguished error.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # on the polygon's own mesh, where only the stiffness weights change
 _ALPHA_FLOOR = 5e-3
 _ALPHA_FLOOR_ELLIPSOID = 2.5e-2
+# relative distance from the best value within which optimize_rank1 takes
+# a scan angle's value as a tie: far above rounding (a few ulps on the disc),
+# far below the scan's 1-degree steps
+_TIE = 1e-12
+# relative margin by which a grid cell's bound must be worse than the best
+# grid value before the cell is left unsolved, far above the rounding in
+# the solves and the bounds
+_PRUNE_MARGIN = 1e-9
+# relative bound on how far the solves of Q(theta, 1), which is I up to
+# rounding, stray from the Euclidean solve: far above that rounding
+_EUCLID_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,9 @@ class OptimizationReport:
     theta is the strong-axis angle; alpha is the transverse coefficient for
     the quadratic family (None for rank-1). boundary_flag records whether the
     optimum sits on the rank-1 boundary of the family. trace holds every
-    (parameters, value) evaluation in order.
+    (parameters, value) evaluation: the scan or the grid cells solved, in
+    angle or theta-major order, then the golden-section points in order.
+    The quadratic grid leaves out the cells proved worse than its optimum.
     """
 
     mode: str
@@ -212,7 +227,7 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
                 f"its inscribed {_ELLIPSE_VERTICES}-gon fails the polygon checks ({exc})"
             ) from exc
         s = anchor / ratio
-        lam, tor, h_used, err, _, prov = _fem(levels, np.diag([s * s, 1.0]))
+        lam, tor, h_used, err, _, prov, _ = _fem(levels, np.diag([s * s, 1.0]))
         # the stretch scales areas, and so the torsion, and x-lengths by 1 / s
         return Spectral(lam, tor / s, prov, prov, error_estimate=err, h_used=h_used / s)
 
@@ -275,7 +290,7 @@ def _spectral(domain, H, cfg: SolverConfig) -> Spectral:
                 raise UnsupportedError("partially degenerate quadratic seminorms are out of scope")
             H = Rank1Seminorm(H.alphas[0] * H.rotation[:, 0])
     batch = ("rank1", H.eta[None]) if isinstance(H, Rank1Seminorm) else ("quadratic", H.rotation[None], H.alphas[None])
-    return Spectral(*_spectra(domain, batch, cfg)[0])
+    return Spectral(*_spectra(domain, batch, cfg)[0][:6])
 
 
 def _spectra(domain, batch, cfg: SolverConfig) -> list:
@@ -295,7 +310,10 @@ def _route(domain, batch, cfg: SolverConfig) -> list:
     row nondegenerate. A polygon's rank-1 batch is one slicing scan, its
     quadratic batch one `_fem` solve per Gram matrix on the polygon's
     assemblies; ellipsoid and box rows go one by one to their closed forms,
-    the ellipse route, or the slicing of a box's polygon."""
+    the ellipse route, or the slicing of a box's polygon. A quadratic row
+    adds a seventh field, `_fem`'s gradient in (Q11, Q12, Q22): a (2, 3)
+    array on a polygon at one FEM level, None on a Richardson pair and on
+    the ellipse route."""
     if batch[0] == "rank1":
         eta = batch[1]
         # operator norms and unit rows as Rank1Seminorm computes them:
@@ -314,9 +332,9 @@ def _route(domain, batch, cfg: SolverConfig) -> list:
         # each Gram matrix as QuadraticSeminorm.gram() multiplies it; a
         # column's sign leaves every product, and so Q, bit for bit the same
         fems = (_fem(levels, R @ np.diag(a**2) @ R.T) for R, a in zip(rotations, alphas))
-        return [(lam, tor, prov, prov, max(err_lam, err_tor), h) for lam, tor, h, err_lam, err_tor, prov in fems]
+        return [(lam, tor, prov, prov, max(err_lam, err_tor), h, grad) for lam, tor, h, err_lam, err_tor, prov, grad in fems]
     if isinstance(domain, EllipsoidD):
-        return [_quadratic_ellipsoid(domain, R, a, cfg) for R, a in zip(rotations, alphas)]
+        return [(*_quadratic_ellipsoid(domain, R, a, cfg), None) for R, a in zip(rotations, alphas)]
     raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
 
 
@@ -436,7 +454,11 @@ def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     Scans 180 uniform angles augmented with the domain's own directions
     (edge normals and vertex pairs, or principal axes), then refines the best
     bracket by golden section to angular tolerance 1e-6. All evaluations are
-    exact (slicing or closed form). Ties resolve to the smallest angle.
+    exact (slicing or closed form). A scan angle whose value is within
+    1e-12 relative of the best ties with it, and ties resolve to the smallest
+    scan angle, so the report does not hang on rounding where the optimum
+    is flat; a golden-section point is reported only when it beats every
+    scan angle by more than that.
     """
     domain = _as_planar_domain(domain)
     sign = _check_mode(mode)
@@ -459,7 +481,13 @@ def optimize_rank1(domain, q: float, mode: str = "min") -> OptimizationReport:
     hi = thetas[i + 1] if i + 1 < len(thetas) else thetas[0] + math.pi
     _golden(f, float(lo), float(hi), 1e-6)
 
+    # scan values within _TIE of the best tie with it, and a tie goes to the
+    # smallest scan angle (on the disc every angle ties up to rounding);
+    # otherwise the best golden-section point wins, ties to the smaller angle
     best_theta, best_val = min(trace, key=lambda e: (sign * e[1], e[0]))
+    tied = np.flatnonzero(values <= sign * best_val + _TIE * abs(best_val))
+    if len(tied):
+        best_theta, best_val = trace[int(tied[np.argmin(thetas[tied] % math.pi)])]
     best = eval_F(domain, _family_seminorm(best_theta, 0.0), q, cfg)
     return OptimizationReport(
         mode=mode,
@@ -481,17 +509,94 @@ def _default_quadratic_cfg(domain) -> SolverConfig:
     return SolverConfig(target_h=0.12)
 
 
+def _pruned_grid(domain, thetas: list, alphas: list, q: float, sign: float, best: float, cfg: SolverConfig) -> dict:
+    """_route's rows of the inner grid cells (theta, alpha) that can beat
+    best, the lowest sign * value met so far; each cell left out is proved
+    worse than the grid optimum.
+
+    On one polygon mesh lambda_h(Q) is a minimum and T_h(Q) a maximum of
+    functions linear in Q, and Q(theta, alpha) = I - beta u_perp u_perp^T is
+    affine in beta = 1 - alpha^2. So a solved cell's tangent planes
+    Q . grad(lambda) and 2 T + Q . grad(T) bound lambda from above and T
+    from below at every cell, and down each theta column lambda is concave
+    and T convex in beta: between two known cells lambda lies above its
+    chord and T below its chord. Q(theta, 1) is I up to rounding, so the
+    Euclidean cell (theta = 0, alpha = 1) gives the alpha = 1 cell of every
+    column, to within _EUCLID_SLACK, and its tangent planes. From the
+    alpha[0] cells and that one, each round solves, as one batch, every
+    such alpha = 1 cell and the midpoint of every column interval where the
+    bound on sign * lambda * T**q of some cell, from the chords and the
+    tangents at the interval's ends, is within _PRUNE_MARGIN of best."""
+    m, k = len(thetas), len(alphas)
+    a2 = np.square(alphas)
+    c = np.fromiter(map(math.cos, thetas), float, m)[:, None]
+    s = np.fromiter(map(math.sin, thetas), float, m)[:, None]
+    # (Q11, Q12, Q22) of every cell and its beta, the position down its column
+    Q = np.stack([c * c + a2 * s * s, c * s * (1.0 - a2), s * s + a2 * c * c])
+    beta = 1.0 - a2
+    # every known cell's lambda from below and T from above, which the
+    # chords take, and the T and gradient that its tangent planes take
+    lam_lo, tor_hi, tor = np.zeros((m, k)), np.zeros((m, k)), np.zeros((m, k))
+    grad = np.zeros((2, 3, m, k))
+    solved = np.zeros((m, k), dtype=bool)
+    known = solved.copy()
+    known[:, -1] = True
+    index, column = np.arange(k), np.arange(m)[:, None]
+    rows = {}
+    flat = np.sort(np.append(np.arange(m) * k, k - 1))
+    while len(flat):
+        cols, slots = flat // k, flat % k
+        new = _spectra(domain, _family_batch([thetas[i] for i in cols], [alphas[j] for j in slots]), cfg)
+        for i, j, row in zip(cols.tolist(), slots.tolist(), new):
+            rows[(thetas[i], alphas[j])] = row
+            # the grid values are eval_F's, lambda * T**q on Python floats
+            best = min(best, sign * (row[0] * row[1] ** q))
+        lam_lo[cols, slots] = [row[0] for row in new]
+        tor_hi[cols, slots] = tor[cols, slots] = [row[1] for row in new]
+        grad[:, :, cols, slots] = np.moveaxis([row[6] for row in new], 0, -1)
+        solved[cols, slots] = known[cols, slots] = True
+        euclid = ~solved[:, -1]
+        lam_lo[euclid, -1] = lam_lo[0, -1] * (1.0 - _EUCLID_SLACK)
+        tor_hi[euclid, -1] = tor[0, -1] * (1.0 + _EUCLID_SLACK)
+        tor[euclid, -1], grad[:, :, euclid, -1] = tor[0, -1], grad[:, :, :1, -1]
+        # each cell's nearest known cells a <= cell <= b, the chords between
+        # them and their tangent planes; a known cell is its own chord
+        a = np.maximum.accumulate(np.where(known, index, -1), axis=1)
+        b = np.minimum.accumulate(np.where(known, index, k)[:, ::-1], axis=1)[:, ::-1]
+        w = np.where(known, 0.0, (beta - beta[a]) / np.where(known, 1.0, beta[b] - beta[a]))
+        lam_chord = (1.0 - w) * lam_lo[column, a] + w * lam_lo[column, b]
+        tor_chord = (1.0 - w) * tor_hi[column, a] + w * tor_hi[column, b]
+        at_a, at_b = ((grad[:, :, column, e] * Q).sum(axis=1) for e in (a, b))
+        lam_tangent = np.minimum(at_a[0], at_b[0])
+        tor_tangent = np.maximum(2.0 * tor[column, a] + at_a[1], 2.0 * tor[column, b] + at_b[1])
+        # bound sign * lambda * T**q from below: lambda from below when
+        # minimizing, and T from below when that makes T**q smaller
+        lam_b = lam_chord if sign > 0 else lam_tangent
+        tor_b = tor_tangent if (sign > 0) == (q >= 0) else tor_chord
+        ok = (lam_b > 0.0) & (tor_b > 0.0)
+        bound = sign * np.where(ok, lam_b, 1.0) * np.where(ok, tor_b, 1.0) ** q
+        live = ~solved & (~ok | (bound <= best + _PRUNE_MARGIN * abs(best)))
+        # each live cell's interval midpoint, itself for an alpha = 1 cell
+        flat = np.unique((column * k + (a + b) // 2)[live])
+    return rows
+
+
 def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | None = None) -> OptimizationReport:
     """Best seminorm in the normalized quadratic family at exponent q.
 
     Coarse 36 x 21 grid over (theta, alpha), alpha = 0 evaluated by the exact
     degenerate route, then alternating golden-section refinement in each
-    parameter until both updates fall below 1e-4. The grid goes to _route as
-    two batches (the alpha = 0 column and the other cells), which a sweep
-    over exponents solves once. Tiny alpha is snapped to the rank-1 boundary
-    (below 5e-3 for polygons, 2.5e-2 for ellipsoids, where the stretched
-    eigensolve stops paying for itself), and the boundary flag reports
-    alpha* = 0.
+    parameter until both updates fall below 1e-4, from the grid's first best
+    cell in theta-major order. On a polygon at one FEM level, whose solves
+    carry exact gradients, the inner cells (alpha > 0) are solved in rounds
+    of midpoint batches that leave out every cell that concavity bounds
+    prove worse than the grid optimum (`_pruned_grid`), about 50 of the 720
+    on the benchmark's stars; elsewhere they go to _route as one batch. The
+    optimum is the full grid's either way. A sweep over exponents solves the
+    alpha = 0 column and the first pruning batch once. Tiny alpha is snapped
+    to the rank-1 boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids,
+    where the stretched eigensolve stops paying for itself), and the
+    boundary flag reports alpha* = 0.
     """
     domain = _as_planar_domain(domain)
     sign = _check_mode(mode)
@@ -510,17 +615,20 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
         return sign * val
 
     theta_grid = (np.arange(36) * (math.pi / 36.0)).tolist()
-    alpha_grid = np.linspace(0.0, 1.0, 21)
-    cells = [(t, snap(a)) for t in theta_grid for a in alpha_grid]
-    # two batches, the alpha = 0 column and the inner cells; the grid values
-    # are eval_F's, lambda * T**q, in theta-major order
-    inner = [cell for cell in cells if cell[1] > 0.0]
+    alpha_grid = [snap(a) for a in np.linspace(0.0, 1.0, 21)]
+    cells = [(t, a) for t in theta_grid for a in alpha_grid]
     rows = dict(zip([(t, 0.0) for t in theta_grid], _spectra(domain, _family_batch(theta_grid), cfg)))
-    rows.update(zip(inner, _spectra(domain, _family_batch(*zip(*inner)), cfg)))
-    trace = [(cell, float(rows[cell][0] * rows[cell][1] ** q)) for cell in cells]
-    grid_vals = np.array([sign * val for _, val in trace]).reshape(len(theta_grid), len(alpha_grid))
-    it, ia = np.unravel_index(int(np.argmin(grid_vals)), grid_vals.shape)
-    theta, alpha = float(theta_grid[it]), float(alpha_grid[ia])
+    # the polygon route at one FEM level is the one whose rows carry gradients
+    if isinstance(domain, Polygon2D) and not cfg.richardson:
+        best = min(sign * (row[0] * row[1] ** q) for row in rows.values())
+        rows.update(_pruned_grid(domain, theta_grid, alpha_grid[1:], q, sign, best, cfg))
+    else:
+        inner = [cell for cell in cells if cell[1] > 0.0]
+        rows.update(zip(inner, _spectra(domain, _family_batch(*zip(*inner)), cfg)))
+    # the solved cells in theta-major order, and the first best among them:
+    # every cell left out is worse, so it is np.argmin's cell of the full grid
+    trace = [(cell, float(rows[cell][0] * rows[cell][1] ** q)) for cell in cells if cell in rows]
+    theta, alpha = trace[int(np.argmin([sign * val for _, val in trace]))][0]
 
     d_theta = math.pi / 36.0
     d_alpha = 0.05

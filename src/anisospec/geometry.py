@@ -261,10 +261,23 @@ def _rotations(omega) -> np.ndarray:
     W = np.array(omega, dtype=float)
     if W.shape[0] < 1 or W.shape[1] != 2:
         raise InvalidDomainError("a direction stack must be an (m, 2) array with m >= 1")
-    if not np.all(np.isfinite(W)):
+    if len(W) == 1:
+        # a stack of one, as each golden-section point of the optimizers
+        # slices, in Python floats: the same checks and bits at a fraction
+        # of the array calls' overhead (np.linalg.norm of a row is the
+        # square root of a * a + b * b)
+        ((a, b),) = W.tolist()
+        finite = math.isfinite(a) and math.isfinite(b)
+        unit = finite and abs(math.sqrt(a * a + b * b) - 1.0) <= GEOM_TOL
+    else:
+        finite = bool(np.isfinite(W).all())
+        unit = finite and not np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > GEOM_TOL)
+    if not finite:
         raise InvalidDomainError("direction entries must be finite")
-    if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > GEOM_TOL):
+    if not unit:
         raise InvalidDomainError("every direction of a stack must have unit norm")
+    if len(W) == 1:
+        return np.array([[[b, -a], [a, b]]])
     R = np.empty((len(W), 2, 2))
     R[:, 0, 0] = R[:, 1, 1] = W[:, 1]
     R[:, 0, 1] = -W[:, 0]

@@ -155,8 +155,9 @@ Seminorm = Rank1Seminorm | QuadraticSeminorm
 @dataclass(frozen=True, slots=True)
 class Spectral:
     """lambda_H and T_H of one (domain, seminorm) pair. Every route yields
-    these fields, in this order, as one plain tuple per seminorm of a batch;
-    eval_F and verify_bounds build the record from the row.
+    these fields, in this order, as one plain tuple per seminorm of a batch
+    (a quadratic row adds its solve's gradient after h_used); eval_F and
+    verify_bounds build the record from the row's first six fields.
 
     A provenance is "closed_form", "slicing", "fem" or "fem_richardson".
     error_estimate is 0 on exact routes and the coarse/fine difference of a

@@ -7,6 +7,13 @@ from anisospec.errors import InvalidDomainError, InvalidSeminormError
 from anisospec.geometry import GEOM_TOL, rotation_to_vertical
 from anisospec.seminorms import SEMINORM_TOL
 
+# a non-convex 7-vertex star of area 0.53, the size of the benchmark's
+# quadratic-optimizer polygons: 62 interior nodes at h = 0.12, which the FEM
+# solver takes down its dense branch
+STAR7 = Polygon2D(
+    [[0.608, 0.123], [0.137, 0.267], [-0.226, 0.501], [-0.33, 0.084], [-0.478, -0.363], [-0.007, -0.28], [0.383, -0.321]]
+)
+
 
 @pytest.fixture
 def rng():

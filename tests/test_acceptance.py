@@ -366,8 +366,8 @@ def _suite_refinement_monotonicity() -> tuple[int, float]:
         poly = random_convex_polygon(rng, n_points=10, scale=1.0)
         coarse = mesh_polygon(poly, cfg.target_h)
         fine = coarse.refined()
-        lam_c, tor_c = _solve(_Assembly.of(coarse), np.eye(2))
-        lam_f, tor_f = _solve(_Assembly.of(fine), np.eye(2))
+        lam_c, tor_c, _ = _solve(_Assembly.of(coarse), np.eye(2))
+        lam_f, tor_f, _ = _solve(_Assembly.of(fine), np.eye(2))
         worst = max(worst, lam_f / lam_c - 1.0, 1.0 - tor_f / tor_c)
         cases += 1
     return cases, worst

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -22,7 +23,7 @@ from anisospec.functional import _family_seminorm, _ladder_anchor, eval_F
 from anisospec.memo import Memo
 from anisospec.fem import solver
 from anisospec.fem.solver import _EUCLID, _Assembly, _solve, p1_assemble
-from conftest import loop_dist_to_outline, mesh_areas, random_star_polygon
+from conftest import STAR7, loop_dist_to_outline, mesh_areas, random_star_polygon
 
 J01_SQUARED = 5.783185962946785
 TORSION_SQUARE = 0.03514425373904369
@@ -267,8 +268,8 @@ class TestEuclidSolver:
 
     def test_nested_refinement_is_monotone(self, l_shape):
         mesh = mesh_polygon(l_shape, 0.3)
-        lam, tor = _solve(_Assembly.of(mesh), np.eye(2))
-        lam_fine, tor_fine = _solve(_Assembly.of(mesh.refined()), np.eye(2))
+        lam, tor, _ = _solve(_Assembly.of(mesh), np.eye(2))
+        lam_fine, tor_fine, _ = _solve(_Assembly.of(mesh.refined()), np.eye(2))
         assert lam_fine <= lam * (1.0 + 1e-8)
         assert tor_fine >= tor * (1.0 - 1e-8)
 
@@ -520,8 +521,8 @@ class TestAnisotropicSolve:
         for theta in np.linspace(0.0, np.pi, 36, endpoint=False):
             for alpha in np.geomspace(0.005, 1.0, 20):
                 Q = _family_seminorm(theta, alpha).gram()
-                lam, tor = _solve(a, Q)
-                lam_sparse, tor_sparse = _solve(_sparse(a), Q)
+                lam, tor, _ = _solve(a, Q)
+                lam_sparse, tor_sparse, _ = _solve(_sparse(a), Q)
                 worst_lam = max(worst_lam, abs(lam / lam_sparse - 1.0))
                 worst_tor = max(worst_tor, abs(tor / tor_sparse - 1.0))
         assert worst_lam <= 1e-12
@@ -538,9 +539,9 @@ class TestAnisotropicSolve:
         small, large = _Assembly.of(_strip(solver._DENSE_MAX)), _Assembly.of(_strip(solver._DENSE_MAX + 1))
         assert (len(small.f), len(large.f)) == (solver._DENSE_MAX, solver._DENSE_MAX + 1)
         assert small.dense is not None and large.dense is None
-        expected = _solve(_sparse(small), Q)
+        expected = _solve(_sparse(small), Q)[:2]
         monkeypatch.setattr(solver, "dpbtrf", broken)
-        assert _solve(small, Q) == pytest.approx(expected, rel=1e-12)
+        assert _solve(small, Q)[:2] == pytest.approx(expected, rel=1e-12)
         with pytest.raises(SolverError, match="dpbtrf must not run here"):
             _solve(large, Q)
 
@@ -577,7 +578,55 @@ class TestAnisotropicSolve:
         for a in (_Assembly.of(mesh), _Assembly.of(mesh.refined())):
             assert a.dense is None and 8 <= a.half_band <= 58
             K, M = a.stiffness(_EUCLID).toarray(), a.M.toarray()
-            lam, tor = _solve(a, _EUCLID)
+            lam, tor, _ = _solve(a, _EUCLID)
             dense = scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0]
             assert lam == pytest.approx(dense, rel=1e-10)
             assert tor == pytest.approx(a.f @ scipy.linalg.solve(K, a.f, assume_a="pos"), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.9])
+@pytest.mark.parametrize("name", ["star", "l_shape"])
+def test_gradient_is_exact_down_a_column(name, theta, l_shape):
+    # the star takes the dense branch, the L-shape the band branch; down the
+    # column Q(beta) = I - beta w w^T of the quadratic family, w = u_perp and
+    # beta = 1 - alpha^2, _fem's gradient in (Q11, Q12, Q22) is exact
+    poly = STAR7 if name == "star" else l_shape
+    levels = solver._polygon_levels(poly, SolverConfig(target_h=0.12))
+    assert (levels[0].dense is not None, len(levels[0].f)) == ((True, 62) if name == "star" else (False, 313))
+    w = np.array([-math.sin(theta), math.cos(theta)])
+    dq = -np.array([w[0] * w[0], w[0] * w[1], w[1] * w[1]])  # dQ / dbeta
+
+    def solve(beta):
+        Q = np.eye(2) - beta * np.outer(w, w)
+        lam, tor, *_, gradient = solver._fem(levels, Q)
+        return lam, tor, gradient, np.array([Q[0, 0], Q[0, 1], Q[1, 1]])
+
+    alphas = np.linspace(0.0, 1.0, 21)[1:]
+    lams, tors = [], []
+    for alpha in alphas:
+        beta = 1.0 - alpha * alpha
+        lam, tor, gradient, q = solve(beta)
+        assert gradient.shape == (2, 3)
+        # Euler: lambda and T are homogeneous of degrees 1 and -1 in Q
+        assert q @ gradient[0] == pytest.approx(lam, rel=1e-12)
+        assert -(q @ gradient[1]) == pytest.approx(tor, rel=1e-12)
+        # central differences, the step shrinking with 1 - beta, near which
+        # the torsion steepens
+        step = 1e-4 * alpha * alpha
+        (lam_up, tor_up, *_), (lam_down, tor_down, *_) = solve(beta + step), solve(beta - step)
+        assert (lam_up - lam_down) / (2.0 * step) == pytest.approx(dq @ gradient[0], rel=1e-6)
+        assert (tor_up - tor_down) / (2.0 * step) == pytest.approx(dq @ gradient[1], rel=1e-6)
+        lams.append(lam)
+        tors.append(tor)
+    # slopes between neighbouring cells, in ascending beta: falling for the
+    # concave lambda, rising for the convex T
+    betas = (1.0 - alphas**2)[::-1]
+    lam_slopes = np.diff(lams[::-1]) / np.diff(betas)
+    tor_slopes = np.diff(tors[::-1]) / np.diff(betas)
+    assert np.all(np.diff(lam_slopes) < 0.0)
+    assert np.all(np.diff(tor_slopes) > 0.0)
+
+
+def test_richardson_pair_has_no_gradient(unit_square):
+    levels = solver._polygon_levels(unit_square, SolverConfig(target_h=0.3, richardson=True))
+    assert solver._fem(levels, _EUCLID)[-1] is None

@@ -40,6 +40,7 @@ from anisospec.memo import Memo
 from anisospec.seminorms import Spectral
 from anisospec.slicing import solve_rank1
 from conftest import (
+    STAR7,
     loop_augment_directions,
     loop_optimize_quadratic,
     loop_quadratic_values,
@@ -52,6 +53,9 @@ J01_SQUARED = 5.783185962946785  # first Dirichlet eigenvalue of the unit disc
 PI_CUBED_OVER_16 = math.pi**3 / 16.0
 
 DISC = EllipsoidD([1.0, 1.0])
+# optimize_quadratic's grid
+GRID_THETAS = (np.arange(36) * (math.pi / 36.0)).tolist()
+GRID_ALPHAS = np.linspace(0.0, 1.0, 21).tolist()
 SQUARE = Polygon2D([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
@@ -198,12 +202,21 @@ class TestOptimizeRank1:
             assert fv.value == pytest.approx(PI_CUBED_OVER_16, rel=1e-10)
 
     def test_disc_value_flat_and_trace_tight(self):
-        # every direction ties up to float noise; the report must still be
-        # the exact trace minimum
+        # every direction ties up to float noise; the report is a tie of
+        # the trace minimum and the value at its own angle
         report = optimize_rank1(DISC, 1.0, "min")
-        assert report.value == min(trace_values(report))
+        assert report.value == pytest.approx(min(trace_values(report)), rel=1e-12)
+        assert (report.theta, report.value) in report.trace
         assert report.value == pytest.approx(PI_CUBED_OVER_16, rel=1e-10)
         assert 0.0 <= report.theta < math.pi
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_disc_ties_resolve_to_angle_zero(self, q):
+        # the disc's values differ only by rounding, which may put the
+        # exact minimum at any angle
+        report = optimize_rank1(DISC, q, "min")
+        assert report.theta == 0.0
+        assert report.value == report.trace[0][1]
 
     def test_ellipse_min_matches_closed_form(self):
         E = EllipsoidD([2.0, 1.0])
@@ -307,7 +320,9 @@ def test_quadratic_grid_is_eval_F_bit_for_bit(name, poly, richardson):
         assert (lams[i][0], tors[i][0]) == boundary[i][:2]
         for j, a in enumerate(alphas[1:], 1):
             row = next(rows)
-            assert Spectral(*row) == solver.solve_quadratic(poly, _family_seminorm(t, a), cfg)
+            assert Spectral(*row[:6]) == solver.solve_quadratic(poly, _family_seminorm(t, a), cfg)
+            # a row's gradient, exact on one FEM level only
+            assert (row[6] is None) == richardson
             assert (lams[i][j], tors[i][j]) == row[:2]
 
 
@@ -408,26 +423,64 @@ def test_optimize_quadratic_matches_grid_cell_loop(domain):
     report = optimize_quadratic(domain, 1.05, "min")
     theta, alpha, value, flag, trace = loop_optimize_quadratic(domain, 1.05, "min")
     assert (report.theta, report.alpha, report.value, report.boundary_flag) == (theta, alpha, value, flag)
-    assert report.trace == trace
+    # the loop's trace is its 36 x 21 grid, theta-major, then the golden
+    # section; the report's lists the grid cells it solved, then the same tail
+    grid, tail = trace[: 36 * 21], trace[36 * 21 :]
+    solved = dict(report.trace[: len(report.trace) - len(tail)])
+    assert report.trace[len(solved) :] == tail
+    assert report.trace[: len(solved)] == tuple(cell for cell in grid if cell[0] in solved)
+    best = min(v for _, v in grid)
+    assert all(v > best for cell, v in grid if cell not in solved)
+    if isinstance(domain, EllipsoidD):
+        # no gradient on the ellipse route: every cell is solved
+        assert report.trace == trace
+
+
+@pytest.mark.parametrize("q, mode", [(1.0, "min"), (3.0, "min"), (2.0, "max"), (0.5, "max"), (-0.5, "max"), (-0.5, "min")])
+def test_pruned_grid_leaves_out_only_worse_cells(q, mode):
+    # both modes and signs of q, with grid optima at the rank-1 boundary,
+    # next to it and at alpha = 1; the values of the whole grid come from
+    # one batch through _route
+    sign = 1.0 if mode == "min" else -1.0
+    cfg = functional._default_quadratic_cfg(STAR7)
+    cells = [(t, a) for t in GRID_THETAS for a in GRID_ALPHAS[1:]]
+    grid = {cell: lam * tor**q for cell, (lam, tor, *_) in zip(cells, _route(STAR7, _family_batch(*zip(*cells)), cfg))}
+    boundary = [lam * tor**q for lam, tor, *_ in _route(STAR7, _family_batch(GRID_THETAS), cfg)]
+    best = min(sign * v for v in [*grid.values(), *boundary])
+    report = optimize_quadratic(STAR7, q, mode)
+    solved = {cell: v for cell, v in report.trace if cell in grid}
+    assert all(grid[cell] == v for cell, v in solved.items())
+    assert all(sign * v > best for cell, v in grid.items() if cell not in solved)
+
+
+def test_pruned_grid_solves_few_cells():
+    # the pruning solves about 50 of the 720 inner cells on stars of the
+    # benchmark's size; the cap catches bounds that stop pruning
+    for q, mode in ((1.0, "min"), (2.0, "max")):
+        report = optimize_quadratic(STAR7, q, mode)
+        solved = {cell for cell, _ in report.trace if cell[0] in GRID_THETAS and cell[1] in GRID_ALPHAS[1:]}
+        assert len(solved) <= 150
 
 
 def test_q_sweep_solves_the_quadratic_grid_once(monkeypatch):
-    grids, fems = [], []
+    batches, fems = [], []
     route, fem = functional._route, solver._fem
 
     def counted_route(domain, batch, cfg):
-        if batch[0] == "quadratic" and len(batch[1]) > 1:
-            grids.append(batch)
+        if batch[0] == "quadratic":
+            batches.append(batch)
         return route(domain, batch, cfg)
 
     monkeypatch.setattr(functional, "_route", counted_route)
     monkeypatch.setattr(solver, "_fem", lambda *a: fems.append(a) or fem(*a))
     poly = random_star_polygon(np.random.default_rng(22), 6, 0.3, 0.6)
-    sweep = q_sweep(poly, [0.9, 1.0, 1.1], "min")
-    assert len(grids) == 1
-    # 720 grid cells with alpha > 0 once, then only golden-section points
-    refinements = sum(len(report.trace) - 36 * 21 for report in sweep.reports)
-    assert 720 <= len(fems) <= 720 + refinements
+    q_sweep(poly, [0.9, 1.0, 1.1], "min")
+    # the first pruning batch, alpha = 0.05 in every column and the
+    # Euclidean cell, is the same at every exponent and solved once
+    first = [b for b in batches if b[2][:, 1].tolist() == [0.05, 1.0] + [0.05] * 35]
+    assert len(first) == 1
+    # each routed row is one solve, and no other solve runs
+    assert len(fems) == sum(len(b[1]) for b in batches)
 
 
 def test_route_sees_every_solve(monkeypatch):
@@ -462,12 +515,32 @@ def test_route_sees_every_solve(monkeypatch):
 
     routes.clear()
     scans.clear()
+    spans = []
+    pruned_grid = functional._pruned_grid
+
+    def marked_pruned_grid(*args):
+        start = len(routes)
+        rows = pruned_grid(*args)
+        spans.append((start, len(routes)))
+        return rows
+
+    monkeypatch.setattr(functional, "_pruned_grid", marked_pruned_grid)
     poly = random_star_polygon(rng, 6, 0.3, 0.6)
     report = optimize_quadratic(poly, 1.0, "min", cfg)
-    assert routes[:2] == [("rank1", 36), ("quadratic", 720)]
-    assert set(routes[2:]) <= {("rank1", 1), ("quadratic", 1)}
-    assert len(routes) - 2 <= len(report.trace) - 36 * 21 + 1
-    assert len(scans) + len(fems) - 720 == len(routes) - 1
+    # the alpha = 0 column, the first pruning batch (alpha = 0.05 in every
+    # column and the Euclidean cell), then the midpoint batches
+    ((start, end),) = spans
+    assert start == 1 and routes[:2] == [("rank1", 36), ("quadratic", 37)]
+    grid = routes[1:end]
+    assert {kind for kind, _ in grid} == {"quadratic"}
+    # the trace lists the solved cells, then the golden-section points, each
+    # that the memo misses, and the best cell's re-evaluation at most, a
+    # batch of one
+    n_grid = 36 + sum(n for _, n in grid)
+    assert all(t in GRID_THETAS and a in GRID_ALPHAS for (t, a), _ in report.trace[:n_grid])
+    assert set(routes[end:]) <= {("rank1", 1), ("quadratic", 1)}
+    assert len(routes) - end <= len(report.trace) - n_grid + 1
+    assert len(scans) + len(fems) - (n_grid - 36) == len(routes) - len(grid)
 
     routes.clear()
     eval_F(poly, QuadraticSeminorm(None, [1.0, 0.37]), 1.0, cfg)
