@@ -21,7 +21,7 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -312,13 +312,35 @@ def _ear_clip(V: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+class _EdgeMap(dict):
+    """Edge -> ids of the triangles on it, in the order they were added. An
+    edge of the starting triangulation enters on its first lookup, with its
+    triangles (in ascending ids, as adding the triangles one by one would
+    list them) read from the starting edge table: `edge_keys`, each edge's
+    key low * n + high once per triangle on it, sorted, and `edge_tids`, the
+    triangle ids in that order. An edge the refiner makes it adds itself."""
+
+    def __init__(self, edge_keys: list, edge_tids: list, n: int):
+        super().__init__()
+        self.edge_keys, self.edge_tids, self.n = edge_keys, edge_tids, n
+
+    def __missing__(self, e):
+        key = e[0] * self.n + e[1]
+        first = bisect_left(self.edge_keys, key)
+        stop = bisect_right(self.edge_keys, key, first)
+        if stop == first:
+            raise KeyError(e)
+        value = self[e] = self.edge_tids[first:stop]
+        return value
+
+
 class _Refiner:
     """Longest-edge bisection with LEPP walks until every edge <= target_h.
 
     A triangle is never changed, only replaced by its two halves, so its
     longest edge is found once, when it is made, and a triangle within the
     target stays within it: each round visits only the triangles made since
-    the previous round began."""
+    the previous round began, and the first only those over the target."""
 
     def __init__(self, nodes: np.ndarray, triangles: np.ndarray, target_h: float):
         self.xy = nodes.tolist()
@@ -326,17 +348,12 @@ class _Refiner:
         P = nodes[triangles]
         area = 0.5 * float(np.abs(_cross2(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])).sum())
         self.budget = 64 * (len(triangles) + 16) + int(64.0 * area / self.target2) + 100000
-        # each triangle's edges (a, b), (b, c), (c, a) by the places of their
-        # low and high corner in the flat corner list, with the squared lengths
-        # _add takes, then the longest of each by the lexicographic (length,
-        # pair) key that makes ties deterministic
-        flat = triangles.ravel()
+        # each triangle's edges (a, b), (b, c), (c, a) as (low, high) corner
+        # pairs, with the squared lengths _add takes, then the longest of each
+        # by the lexicographic (length, pair) key that makes ties deterministic
         rows = np.arange(len(triangles))
-        first = np.arange(flat.size).reshape(-1, 3)
-        second = np.roll(first, -1, axis=1)
-        swap = flat[first] > flat[second]
-        lo_at, hi_at = np.where(swap, second, first), np.where(swap, first, second)
-        lo, hi = flat[lo_at], flat[hi_at]
+        ends = np.stack([triangles, np.roll(triangles, -1, axis=1)])
+        lo, hi = ends.min(axis=0), ends.max(axis=0)
         d = nodes[lo] - nodes[hi]
         length2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
         best = np.zeros(len(triangles), dtype=np.intp)
@@ -344,28 +361,26 @@ class _Refiner:
             l2, a, b = length2[rows, best], lo[rows, best], hi[rows, best]
             tie = (length2[:, k] == l2) & ((lo[:, k] > a) | ((lo[:, k] == a) & (hi[:, k] > b)))
             best[(length2[:, k] > l2) | tie] = k
-        # the edges hold the corners' own int objects, and the dicts one int
-        # object a triangle id, as _add's tuples do: no more objects than the
-        # one-triangle-at-a-time set-up kept
-        corners = flat.tolist()
-        edges = list(zip(map(corners.__getitem__, lo_at.ravel().tolist()), map(corners.__getitem__, hi_at.ravel().tolist())))
-        tids = rows.tolist()
+        longest = length2[rows, best]
+        corners = triangles.ravel().tolist()
         # id -> (longest edge's squared length, that edge, triangle); ids only
         # grow, so the dict's order is id order
         self.tris: dict[int, tuple] = dict(
             zip(
-                tids,
+                rows.tolist(),
                 zip(
-                    length2[rows, best].tolist(),
-                    list(map(edges.__getitem__, first[rows, best].tolist())),
+                    longest.tolist(),
+                    zip(lo[rows, best].tolist(), hi[rows, best].tolist()),
                     zip(corners[0::3], corners[1::3], corners[2::3]),
                 ),
             )
         )
-        self.edge_map: dict[tuple[int, int], list[int]] = {}
-        for e, tid in zip(edges, chain.from_iterable(zip(tids, tids, tids))):
-            self.edge_map.setdefault(e, []).append(tid)
+        keys = (lo * len(nodes) + hi).ravel()
+        order = np.argsort(keys, kind="stable")
+        self.edge_map = _EdgeMap(keys[order].tolist(), (order // 3).tolist(), len(nodes))
         self.next_tid = len(triangles)
+        # a starting triangle within the target is never split
+        self.too_long = np.flatnonzero(longest > self.target2).tolist()
 
     @staticmethod
     def _edges(t):
@@ -377,18 +392,20 @@ class _Refiner:
         )
 
     def _add(self, t) -> None:
-        def length2(e):
-            # dx * dx, not dx ** 2, which goes through the C library's pow
-            p, q = self.xy[e[0]], self.xy[e[1]]
-            dx, dy = p[0] - q[0], p[1] - q[1]
-            return dx * dx + dy * dy
-
-        edges = self._edges(t)
+        a, b, c = t
+        (ax, ay), (bx, by), (cx, cy) = self.xy[a], self.xy[b], self.xy[c]
+        # squared edge lengths, dx * dx and not dx ** 2, which goes through
+        # the C library's pow; an edge's two directions give the same bits
+        ux, uy, vx, vy, wx, wy = ax - bx, ay - by, bx - cx, by - cy, cx - ax, cy - ay
+        ab, bc, ca = self._edges(t)
+        tid = self.next_tid
         # lexicographic (length, pair) key makes ties deterministic
-        self.tris[self.next_tid] = max((length2(e), e) for e in edges) + (t,)
-        for e in edges:
-            self.edge_map.setdefault(e, []).append(self.next_tid)
-        self.next_tid += 1
+        self.tris[tid] = max((ux * ux + uy * uy, ab), (vx * vx + vy * vy, bc), (wx * wx + wy * wy, ca)) + (t,)
+        # an edge of the split triangle is in edge_map already (_split_edge
+        # looked it up), so setdefault makes only the new edges' lists
+        for e in (ab, bc, ca):
+            self.edge_map.setdefault(e, []).append(tid)
+        self.next_tid = tid + 1
 
     def _split_edge(self, e) -> None:
         p, q = self.xy[e[0]], self.xy[e[1]]
@@ -409,7 +426,11 @@ class _Refiner:
     def _lepp(self, tid: int) -> None:
         e = self.tris[tid][1]
         while True:
-            nb = next((other for other in self.edge_map[e] if other != tid), None)
+            for nb in self.edge_map[e]:
+                if nb != tid:
+                    break
+            else:
+                nb = None
             if nb is None or self.tris[nb][1] == e:
                 self._split_edge(e)
                 return
@@ -417,7 +438,7 @@ class _Refiner:
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
         splits = 0
-        new = range(self.next_tid)
+        new = self.too_long
         while new:
             made = self.next_tid
             for tid in new:

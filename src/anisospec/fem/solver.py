@@ -39,7 +39,8 @@ the reduced parts P_k = L^-1 K_k L^-T, with x = A_Q^-1 g (one more
 `dtrtrs`). lambda_h is thus concave and T_h convex in Q, and Euler's
 identities lambda = Q . grad(lambda), T = -Q . grad(T) hold; the tangent
 planes bound each factor on one side everywhere. A Richardson pair
-extrapolates two meshes and has no gradient.
+extrapolates two meshes and has no gradient, so neither of its solves
+computes one.
 
 Only nondegenerate quadratics have a FEM problem here: a vanishing alpha is
 rejected, and the zero seminorm raises its distinguished error.
@@ -55,7 +56,7 @@ from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
 from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
-from ..geometry import Polygon2D, _cross2
+from ..geometry import Polygon2D
 from ..memo import Memo
 from ..seminorms import QuadraticSeminorm, SolverConfig, Spectral
 from .meshing import TriMesh, mesh_polygon
@@ -82,21 +83,25 @@ _ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def _local_matrices(mesh: TriMesh):
-    """Per-triangle P1 stiffness parts (xx, symmetrized xy, yy), mass and load."""
-    T = mesh.triangles
-    P = mesh.nodes[T]
-    x, y = P[..., 0], P[..., 1]
-    area2 = _cross2(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+    """Per-triangle P1 stiffness parts (xx, symmetrized xy, yy), mass and load.
+    The entries are computed on (3, m) rows, one per corner, and the four
+    (3, 3, m) blocks are put triangle first by one transpose at the end."""
+    T = mesh.triangles.T
+    x, y = mesh.nodes[:, 0][T], mesh.nodes[:, 1][T]
+    area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     if np.any(area2 <= 0):
         raise SolverError("mesh contains a degenerate or flipped triangle")
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    scale = (2.0 * area2)[:, None, None]
-    bb = b[:, :, None] * b[:, None, :]
-    cc = c[:, :, None] * c[:, None, :]
-    bc = b[:, :, None] * c[:, None, :]
-    Mloc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area2 / 24.0)[:, None, None]
-    return bb / scale, (bc + bc.transpose(0, 2, 1)) / scale, cc / scale, Mloc, np.repeat(area2 / 6.0, 3)
+    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    scale = 2.0 * area2
+    bc = b[:, None] * c[None, :]
+    blocks = np.empty((4, 3, 3, len(area2)))
+    np.divide(b[:, None] * b[None, :], scale, out=blocks[0])
+    np.divide(bc + bc.transpose(1, 0, 2), scale, out=blocks[1])
+    np.divide(c[:, None] * c[None, :], scale, out=blocks[2])
+    np.multiply((np.ones((3, 3)) + np.eye(3))[:, :, None], area2 / 24.0, out=blocks[3])
+    kxx, kxy, kyy, Mloc = np.ascontiguousarray(blocks.transpose(0, 3, 1, 2))
+    return kxx, kxy, kyy, Mloc, np.repeat(area2 / 6.0, 3)
 
 
 def p1_assemble(mesh: TriMesh):
@@ -214,15 +219,19 @@ class _Assembly:
         return csc_matrix((data, self.indices, self.indptr), shape=self.M.shape)
 
 
-def _levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
-    """Assemblies of the polygon's mesh and, for a Richardson pair, of its refinement."""
-    mesh = mesh_polygon(polygon, cfg.target_h)
+def _levels(mesh: TriMesh, cfg: SolverConfig) -> list[_Assembly]:
+    """Assemblies of the mesh and, for a Richardson pair, of its refinement."""
     return [_Assembly.of(mesh), _Assembly.of(mesh.refined())] if cfg.richardson else [_Assembly.of(mesh)]
 
 
 # the last polygon's assemblies: an optimizer solves one polygon at a time,
 # under hundreds of seminorms
 _ASSEMBLIES = Memo(1)
+# the last coarse meshes (about 40 KB each on the ellipse route), by
+# (name, target_h): the golden-section phases of an ellipse optimizer revisit
+# the ladder bands they crossed, and a revisited band is then refined and
+# assembled again, but not meshed again
+_MESHES = Memo(16)
 
 
 def _polygon_levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
@@ -232,18 +241,24 @@ def _polygon_levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
 
 
 def _named_levels(name, build, cfg: SolverConfig) -> list[_Assembly]:
-    """`_levels` under cfg of the polygon that build() returns, named by
-    `name`: build runs, and the polygon is meshed, only when name is not the
-    last polygon solved."""
-    return _ASSEMBLIES.get_or((name, cfg.target_h, cfg.richardson), lambda: _levels(build(), cfg))
+    """`_levels` under cfg of the mesh of the polygon that build() returns,
+    named by `name`: the levels are built only when name is not the last
+    polygon solved, and build runs, and the polygon is meshed, only when its
+    mesh is not among the last `_MESHES` made."""
+
+    def levels():
+        mesh = _MESHES.get_or((name, cfg.target_h), lambda: mesh_polygon(build(), cfg.target_h))
+        return _levels(mesh, cfg)
+
+    return _ASSEMBLIES.get_or((name, cfg.target_h, cfg.richardson), levels)
 
 
 def _lowest(K, M, solve, u):
-    """(lambda, y, M y), the lowest eigenpair of K y = lambda M y, by Lanczos
-    on K^-1 M (self-adjoint in the M inner product) from u. A step is one
-    solve(r) = K^-1 r and one product with M; keeping M V beside the basis V
-    lets two classical Gram-Schmidt passes reorthogonalize fully at no extra
-    product.
+    """(lambda, y, K y - lambda M y, M y): the lowest eigenpair of
+    K y = lambda M y and its residual, by Lanczos on K^-1 M (self-adjoint in
+    the M inner product) from u. A step is one solve(r) = K^-1 r and one
+    product with M; keeping M V beside the basis V lets two classical
+    Gram-Schmidt passes reorthogonalize fully at no extra product.
     The top Ritz pair's true residual is tested once |beta_k s_k| is small."""
     m = min(len(u), _MAX_STEPS)
     V, MV, alpha, beta = np.empty((m, len(u))), np.empty((m, len(u))), np.zeros(m), np.zeros(m)
@@ -265,8 +280,9 @@ def _lowest(K, M, solve, u):
         lam, s = 1.0 / float(theta[-1]), s[:, -1]
         if abs(b * s[-1]) * lam <= _EIG_TOL:
             y, My = s @ V[: k + 1], s @ MV[: k + 1]
-            if np.linalg.norm(K @ y - lam * My) <= _EIG_TOL * lam * np.linalg.norm(My):
-                return lam, y, My
+            r = K @ y - lam * My
+            if np.linalg.norm(r) <= _EIG_TOL * lam * np.linalg.norm(My):
+                return lam, y, r, My
     raise SolverError(f"shift-invert Lanczos did not converge in {m} steps")
 
 
@@ -277,11 +293,12 @@ def _torsion(value) -> float:
     return torsion
 
 
-def _solve_sparse(a: _Assembly, Q):
+def _solve_sparse(a: _Assembly, Q, gradient: bool):
     """(torsion, lambda, K_Q y - lambda M y, M y, gradient) from one LAPACK
     band Cholesky factorization of K_Q (`dpbtrf`) and shift-invert Lanczos
-    on its factor (`dpbtrs`). The gradient rows are y^T K_k y / y^T M y and
-    -(u^T K_k u), u = K_Q^-1 f, over the stiffness parts K_k."""
+    on its factor (`dpbtrs`). The gradient rows, when asked for, are
+    y^T K_k y / y^T M y and -(u^T K_k u), u = K_Q^-1 f, over the stiffness
+    parts K_k; otherwise the gradient is None."""
     K = a.stiffness(Q)
     band = np.zeros((len(a.f), a.half_band + 1))
     band.flat[a.band_slots] = K.data[a.lower]
@@ -294,19 +311,22 @@ def _solve_sparse(a: _Assembly, Q):
         return dpbtrs(c, r, lower=1)[0]
 
     u = solve(a.f)
-    lam, y, My = _lowest(K, a.M, solve, u)
-    gradient = np.array([(a.parts @ x).reshape(3, -1) @ x for x in (y, u)])
-    return _torsion(a.f @ u), lam, K @ y - lam * My, My, gradient * ((1.0 / (y @ My),), (-1.0,))
+    lam, y, r, My = _lowest(K, a.M, solve, u)
+    if not gradient:
+        return _torsion(a.f @ u), lam, r, My, None
+    rows = np.array([(a.parts @ x).reshape(3, -1) @ x for x in (y, u)])
+    return _torsion(a.f @ u), lam, r, My, rows * ((1.0 / (y @ My),), (-1.0,))
 
 
-def _solve_dense(a: _Assembly, Q):
+def _solve_dense(a: _Assembly, Q, gradient: bool):
     """(torsion, lambda, K_Q y - lambda M y, M y, gradient) in the frame of
     M = L L^T: one dense Cholesky factorization A_Q = C C^T of
     A_Q = L^-1 K_Q L^-T gives the torsion g^T A_Q^-1 g = |C^-1 g|^2, and
     `dsyevr` the lowest eigenpair (lambda, z) of A_Q. With y = L^-T z,
     K_Q y - lambda M y = L (A_Q z - lambda z) and M y = L z. The gradient
-    rows are (z^T P_k z) and -(x^T P_k x) over the reduced parts P_k, with
-    x = A_Q^-1 g = C^-T C^-1 g, one more triangular solve."""
+    rows, when asked for, are (z^T P_k z) and -(x^T P_k x) over the reduced
+    parts P_k, with x = A_Q^-1 g = C^-T C^-1 g, one more triangular solve;
+    otherwise the gradient is None."""
     parts, L, g = a.dense
     A = np.dot((Q[0, 0], Q[0, 1], Q[1, 1]), parts).reshape(L.shape)
     c, info = dpotrf(A, lower=1)
@@ -318,24 +338,26 @@ def _solve_dense(a: _Assembly, Q):
     if info:
         raise SolverError(f"dense eigensolver failed (dsyevr info {info})")
     lam, z = float(w[0]), z[:, 0]
+    if not gradient:
+        return torsion, lam, L @ (A @ z - lam * z), L @ z, None
     # both vectors' quadratic forms of the three parts from one product
     n = len(g)
     Z = np.array([z, dtrtrs(c, v, lower=1, trans=1)[0]])
-    gradient = np.matmul((Z @ parts.reshape(3 * n, n).T).reshape(2, 3, n), Z[:, :, None])[:, :, 0]
-    gradient[1] *= -1.0
-    return torsion, lam, L @ (A @ z - lam * z), L @ z, gradient
+    rows = np.matmul((Z @ parts.reshape(3 * n, n).T).reshape(2, 3, n), Z[:, :, None])[:, :, 0]
+    rows[1] *= -1.0
+    return torsion, lam, L @ (A @ z - lam * z), L @ z, rows
 
 
-def _solve(a: _Assembly, Q):
+def _solve(a: _Assembly, Q, gradient: bool = True):
     """(lambda, torsion, gradient) for the form with Gram matrix Q. An
     assembly that keeps its reduced dense matrices takes one dense Cholesky
     factorization and `dsyevr` in the frame of M's Cholesky factor; a larger
     one takes one band Cholesky factorization and Lanczos. Either eigenpair
     is accepted only when its generalized relative residual |K_Q y - lambda
-    M y| / (lambda |M y|) is at most `_EIG_TOL`. The gradient is the (2, 3)
-    array of the derivatives of lambda and of the torsion in (Q11, Q12, Q22)
-    (see the module docstring)."""
-    torsion, lam, r, My, gradient = (_solve_sparse if a.dense is None else _solve_dense)(a, Q)
+    M y| / (lambda |M y|) is at most `_EIG_TOL`. The gradient, when asked
+    for, is the (2, 3) array of the derivatives of lambda and of the torsion
+    in (Q11, Q12, Q22) (see the module docstring), and None otherwise."""
+    torsion, lam, r, My, gradient = (_solve_sparse if a.dense is None else _solve_dense)(a, Q, gradient)
     residual = float(np.linalg.norm(r) / (lam * np.linalg.norm(My)))
     if not residual <= _EIG_TOL:
         raise SolverError(f"eigen-residual {residual:.3e} exceeds the bound {_EIG_TOL:.1e}")
@@ -347,11 +369,13 @@ def _fem(levels: list[_Assembly], Q):
     gradient) on the first level, extrapolated from the second (its uniform
     refinement) under second-order convergence when there is one. Only a
     single level has a gradient; an extrapolated pair's is None, since
-    its values are not those of one fixed discrete problem."""
-    lam, tor, gradient = _solve(levels[0], Q)
-    if len(levels) == 1:
+    its values are not those of one fixed discrete problem, and neither of
+    its solves computes one."""
+    single = len(levels) == 1
+    lam, tor, gradient = _solve(levels[0], Q, single)
+    if single:
         return lam, tor, levels[0].h, 0.0, 0.0, "fem", gradient
-    lam_fine, tor_fine, _ = _solve(levels[1], Q)
+    lam_fine, tor_fine, _ = _solve(levels[1], Q, False)
     lam, err_lam = _extrapolate(lam, lam_fine)
     tor, err_tor = _extrapolate(tor, tor_fine)
     return lam, tor, levels[1].h, err_lam, err_tor, "fem_richardson", None
@@ -365,7 +389,7 @@ def _extrapolate(coarse, fine):
 def lambda_euclid_fem(polygon: Polygon2D, cfg: SolverConfig = SolverConfig()) -> Spectral:
     """Euclidean first Dirichlet eigenvalue and torsional rigidity of a
     polygon by P1 FEM. error_estimate is the eigenvalue's."""
-    lam, tor, h_used, err, _, prov, _ = _fem(_levels(polygon, cfg), _EUCLID)
+    lam, tor, h_used, err, _, prov, _ = _fem(_levels(mesh_polygon(polygon, cfg.target_h), cfg), _EUCLID)
     return Spectral(lam, tor, prov, prov, error_estimate=err, h_used=h_used)
 
 

@@ -201,10 +201,12 @@ def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
     along x meshes the (ratio, 1) 256-gon exactly, and its Euclidean problem
     is the anchor mesh's problem under the Gram matrix diag(s^2, 1),
     s = r0 / ratio. Nearby ratios thus share one polygon, mesh and assembly
-    (the one-entry `fem.solver._named_levels` memo, keyed by the anchor, so a
-    ratio on the memoized anchor builds no polygon), each value depends on
-    (ratio, cfg) alone, and at a ladder point, ratio 1 among them, s = 1
-    and the solve is the Euclidean one on the ratio's own polygon."""
+    (`fem.solver._named_levels`, keyed by the anchor, keeps the last
+    anchor's assemblies and the last 16 anchors' meshes, so a ratio whose
+    anchor's mesh is memoized builds no polygon and meshes nothing), each
+    value depends on (ratio, cfg) alone, and at a ladder point, ratio 1
+    among them, s = 1 and the solve is the Euclidean one on the ratio's own
+    polygon."""
     from .fem.solver import _fem, _named_levels  # the FEM layer (and SciPy) loads on first use
 
     # 1e-9 key granularity: ratios reached through different scalings of the
@@ -251,22 +253,6 @@ def _rank1_box(domain: BoxD, unit, scale: float) -> tuple:
     raise UnsupportedError("rank-1 box solves above dimension 2 need an axis-aligned direction")
 
 
-def _quadratic_ellipsoid(domain: EllipsoidD, rotation, alphas, cfg: SolverConfig) -> tuple:
-    if domain.dimension != 2:
-        raise UnsupportedError("no eigenvalue solver for quadratic seminorms on ellipsoids above dimension 2")
-    # semi-axes of the image ellipse B E, B = diag(1/alpha) R^T, in descending
-    # order; lambda_H(E) and T_H(E) depend on nothing else
-    M = np.diag(1.0 / alphas) @ rotation.T @ domain.rotation @ np.diag(domain.semi_axes)
-    axes = np.linalg.svd(M)[1]
-    det_scale = float(np.prod(alphas))
-    tor = torsion_euclid_ellipsoid(axes) * det_scale
-    ratio = float(axes[0] / axes[1])
-    unit = _ellipse_lambda(ratio, cfg)
-    s = float(axes[1])  # the image is the (ratio, 1) ellipse scaled by s
-    lam, err = unit.lambda_ / s**2, unit.error_estimate / s**2
-    return lam, tor, unit.lambda_provenance, "closed_form", err, unit.h_used * s
-
-
 def _spectral(domain, H, cfg: SolverConfig) -> Spectral:
     """lambda_H and T_H of the pair: check dimensions, turn a 2-D box under a
     quadratic H into its polygon, reject the zero seminorm, reduce a
@@ -309,8 +295,10 @@ def _route(domain, batch, cfg: SolverConfig) -> list:
     ("quadratic", rotations, alphas) of shapes (m, d, d) and (m, d), every
     row nondegenerate. A polygon's rank-1 batch is one slicing scan, its
     quadratic batch one `_fem` solve per Gram matrix on the polygon's
-    assemblies; ellipsoid and box rows go one by one to their closed forms,
-    the ellipse route, or the slicing of a box's polygon. A quadratic row
+    assemblies; an ellipse's quadratic batch takes its image ellipses'
+    semi-axes from one stacked SVD and each row's eigenvalue from the
+    ellipse route; other ellipsoid and box rows go one by one to their
+    closed forms or the slicing of a box's polygon. A quadratic row
     adds a seventh field, `_fem`'s gradient in (Q11, Q12, Q22): a (2, 3)
     array on a polygon at one FEM level, None on a Richardson pair and on
     the ellipse route."""
@@ -334,7 +322,22 @@ def _route(domain, batch, cfg: SolverConfig) -> list:
         fems = (_fem(levels, R @ np.diag(a**2) @ R.T) for R, a in zip(rotations, alphas))
         return [(lam, tor, prov, prov, max(err_lam, err_tor), h, grad) for lam, tor, h, err_lam, err_tor, prov, grad in fems]
     if isinstance(domain, EllipsoidD):
-        return [(*_quadratic_ellipsoid(domain, R, a, cfg), None) for R, a in zip(rotations, alphas)]
+        if domain.dimension != 2:
+            raise UnsupportedError("no eigenvalue solver for quadratic seminorms on ellipsoids above dimension 2")
+        # semi-axes of each image ellipse B E, B = diag(1/alpha) R^T, in
+        # descending order; lambda_H(E) and T_H(E) depend on nothing else. One
+        # stacked SVD of diag(1/alpha) @ R^T @ R_E @ diag(a_E), each product
+        # taken in a lone row's order and layout, gives every row's own bits
+        inverse = (1.0 / alphas)[:, :, None] * np.eye(2)  # each diag(1/alpha), as np.diag builds it
+        M = inverse @ rotations.transpose(0, 2, 1) @ domain.rotation @ np.diag(domain.semi_axes)
+        rows = []
+        for axes, det_scale in zip(np.linalg.svd(M)[1], np.prod(alphas, axis=1).tolist()):
+            unit = _ellipse_lambda(float(axes[0] / axes[1]), cfg)
+            s = float(axes[1])  # the image is the (ratio, 1) ellipse scaled by s
+            lam, err = unit.lambda_ / s**2, unit.error_estimate / s**2
+            tor = torsion_euclid_ellipsoid(axes) * det_scale
+            rows.append((lam, tor, unit.lambda_provenance, "closed_form", err, unit.h_used * s, None))
+        return rows
     raise UnsupportedError("no solver for quadratic seminorms on boxes above dimension 2")
 
 

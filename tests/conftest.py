@@ -1,10 +1,12 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 from anisospec import Polygon2D, QuadraticSeminorm, Rank1Seminorm, ellipse_polygon
-from anisospec.errors import InvalidDomainError, InvalidSeminormError
-from anisospec.geometry import GEOM_TOL, rotation_to_vertical
+from anisospec.errors import InvalidDomainError, InvalidSeminormError, MeshError
+from anisospec.geometry import GEOM_TOL, _cross2, rotation_to_vertical
 from anisospec.seminorms import SEMINORM_TOL
 
 # a non-convex 7-vertex star of area 0.53, the size of the benchmark's
@@ -247,33 +249,128 @@ def dense_points_in_polygon(points: np.ndarray, V: np.ndarray) -> np.ndarray:
     return inside
 
 
-# fem.meshing._Refiner's set-up as it was before it went through arrays: one
-# _add call a triangle, each finding its longest edge by Python float
-# arithmetic. The refiner must start from the same tris and edge_map, items
-# and order, or its LEPP walks split other edges.
+# fem.meshing._Refiner with every edge's triangle list built up front, one
+# setdefault a corner, and each new triangle's longest edge found through a
+# generator. The refiner must split the same edges in the same order, so its
+# meshes must equal this one's bit for bit.
 
 
-def loop_refiner_state(nodes: np.ndarray, triangles: np.ndarray) -> tuple:
-    """(tris, edge_map) of a _Refiner on these nodes and triangles."""
-    xy = nodes.tolist()
-    tris, edge_map = {}, {}
+class LoopRefiner:
+    """Longest-edge bisection with LEPP walks until every edge <= target_h.
 
-    def length2(e):
-        p, q = xy[e[0]], xy[e[1]]
-        dx, dy = p[0] - q[0], p[1] - q[1]
-        return dx * dx + dy * dy
+    A triangle is never changed, only replaced by its two halves, so its
+    longest edge is found once, when it is made, and a triangle within the
+    target stays within it: each round visits only the triangles made since
+    the previous round began."""
 
-    for tid, t in enumerate(triangles.tolist()):
-        a, b, c = t = tuple(t)
-        edges = (
+    def __init__(self, nodes: np.ndarray, triangles: np.ndarray, target_h: float):
+        self.xy = nodes.tolist()
+        self.target2 = float(target_h) * float(target_h)
+        P = nodes[triangles]
+        area = 0.5 * float(np.abs(_cross2(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])).sum())
+        self.budget = 64 * (len(triangles) + 16) + int(64.0 * area / self.target2) + 100000
+        # each triangle's edges (a, b), (b, c), (c, a) by the places of their
+        # low and high corner in the flat corner list, with the squared lengths
+        # _add takes, then the longest of each by the lexicographic (length,
+        # pair) key that makes ties deterministic
+        flat = triangles.ravel()
+        rows = np.arange(len(triangles))
+        first = np.arange(flat.size).reshape(-1, 3)
+        second = np.roll(first, -1, axis=1)
+        swap = flat[first] > flat[second]
+        lo_at, hi_at = np.where(swap, second, first), np.where(swap, first, second)
+        lo, hi = flat[lo_at], flat[hi_at]
+        d = nodes[lo] - nodes[hi]
+        length2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        best = np.zeros(len(triangles), dtype=np.intp)
+        for k in (1, 2):
+            l2, a, b = length2[rows, best], lo[rows, best], hi[rows, best]
+            tie = (length2[:, k] == l2) & ((lo[:, k] > a) | ((lo[:, k] == a) & (hi[:, k] > b)))
+            best[(length2[:, k] > l2) | tie] = k
+        # the edges hold the corners' own int objects, and the dicts one int
+        # object a triangle id, as _add's tuples do: no more objects than the
+        # one-triangle-at-a-time set-up kept
+        corners = flat.tolist()
+        edges = list(zip(map(corners.__getitem__, lo_at.ravel().tolist()), map(corners.__getitem__, hi_at.ravel().tolist())))
+        tids = rows.tolist()
+        # id -> (longest edge's squared length, that edge, triangle); ids only
+        # grow, so the dict's order is id order
+        self.tris: dict[int, tuple] = dict(
+            zip(
+                tids,
+                zip(
+                    length2[rows, best].tolist(),
+                    list(map(edges.__getitem__, first[rows, best].tolist())),
+                    zip(corners[0::3], corners[1::3], corners[2::3]),
+                ),
+            )
+        )
+        self.edge_map: dict[tuple[int, int], list[int]] = {}
+        for e, tid in zip(edges, chain.from_iterable(zip(tids, tids, tids))):
+            self.edge_map.setdefault(e, []).append(tid)
+        self.next_tid = len(triangles)
+
+    @staticmethod
+    def _edges(t):
+        a, b, c = t
+        return (
             (a, b) if a < b else (b, a),
             (b, c) if b < c else (c, b),
             (c, a) if c < a else (a, c),
         )
-        tris[tid] = max((length2(e), e) for e in edges) + (t,)
+
+    def _add(self, t) -> None:
+        def length2(e):
+            # dx * dx, not dx ** 2, which goes through the C library's pow
+            p, q = self.xy[e[0]], self.xy[e[1]]
+            dx, dy = p[0] - q[0], p[1] - q[1]
+            return dx * dx + dy * dy
+
+        edges = self._edges(t)
+        # lexicographic (length, pair) key makes ties deterministic
+        self.tris[self.next_tid] = max((length2(e), e) for e in edges) + (t,)
         for e in edges:
-            edge_map.setdefault(e, []).append(tid)
-    return tris, edge_map
+            self.edge_map.setdefault(e, []).append(self.next_tid)
+        self.next_tid += 1
+
+    def _split_edge(self, e) -> None:
+        p, q = self.xy[e[0]], self.xy[e[1]]
+        m = len(self.xy)
+        self.xy.append(((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0))
+        for tid in self.edge_map.pop(e):
+            t = self.tris.pop(tid)[2]
+            for f in self._edges(t):
+                if f != e:
+                    self.edge_map[f].remove(tid)
+            # rotate so the split edge is (t0, t1), preserving orientation
+            while t[2] in e:
+                t = (t[1], t[2], t[0])
+            a, b, c = t
+            self._add((a, m, c))
+            self._add((m, b, c))
+
+    def _lepp(self, tid: int) -> None:
+        e = self.tris[tid][1]
+        while True:
+            nb = next((other for other in self.edge_map[e] if other != tid), None)
+            if nb is None or self.tris[nb][1] == e:
+                self._split_edge(e)
+                return
+            tid, e = nb, self.tris[nb][1]
+
+    def run(self) -> tuple[np.ndarray, np.ndarray]:
+        splits = 0
+        new = range(self.next_tid)
+        while new:
+            made = self.next_tid
+            for tid in new:
+                while tid in self.tris and self.tris[tid][0] > self.target2:
+                    self._lepp(tid)
+                    splits += 1
+                    if splits > self.budget:
+                        raise MeshError("bisection budget exceeded; target_h too small for this polygon")
+            new = range(made, self.next_tid)
+        return np.array(self.xy, dtype=float), np.array([t for _, _, t in self.tris.values()], dtype=np.int64)
 
 
 # Per-edge loop version of geometry._assert_simple, as it was before the edge

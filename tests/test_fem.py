@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix
 
 from anisospec import Polygon2D, QuadraticSeminorm, cli, ellipse_polygon
 from anisospec.errors import DegenerateSeminormError, InvalidSeminormError, MeshError, SolverError
@@ -460,9 +461,11 @@ class TestAnisotropicSolve:
         assert _sparse_side(unit_square, 0.1)
         lowest = solver._lowest
 
-        def off(*args):
-            lam, y, My = lowest(*args)
-            return lam * (1.0 + 1e-6), y, My
+        def off(K, M, solve, u):
+            # an eigenvalue off by 1e-6 and its residual, which _solve gates
+            lam, y, _, My = lowest(K, M, solve, u)
+            lam *= 1.0 + 1e-6
+            return lam, y, K @ y - lam * My, My
 
         monkeypatch.setattr(solver, "_lowest", off)
         with pytest.raises(SolverError, match="residual"):
@@ -630,3 +633,21 @@ def test_gradient_is_exact_down_a_column(name, theta, l_shape):
 def test_richardson_pair_has_no_gradient(unit_square):
     levels = solver._polygon_levels(unit_square, SolverConfig(target_h=0.3, richardson=True))
     assert solver._fem(levels, _EUCLID)[-1] is None
+
+
+class _NoProduct(csr_matrix):
+    """Stacked stiffness parts that no product may read."""
+
+    def __matmul__(self, other):
+        raise AssertionError("a stacked-parts product")
+
+
+def test_richardson_pair_computes_no_gradient(unit_square):
+    # the band branch, the ellipse route's, reads the stacked parts only for
+    # the gradient, which neither solve of a Richardson pair computes
+    levels = solver._polygon_levels(unit_square, SolverConfig(target_h=0.1, richardson=True))
+    assert [a.dense for a in levels] == [None, None]
+    guarded = [dataclasses.replace(a, parts=_NoProduct(a.parts)) for a in levels]
+    assert solver._fem(guarded, _EUCLID) == solver._fem(levels, _EUCLID)
+    with pytest.raises(AssertionError, match="stacked-parts product"):
+        solver._fem(guarded[:1], _EUCLID)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from anisospec import (
     ellipse_polygon,
 )
 from anisospec import functional
-from anisospec.closed_forms import m_tilde_q_ellipsoid
+from anisospec.closed_forms import m_tilde_q_ellipsoid, torsion_euclid_ellipsoid
 from anisospec.errors import (
     DegenerateSeminormError,
     InputError,
@@ -343,17 +344,42 @@ def test_ellipse_route_is_sign_blind():
         assert (fv.lambda_, fv.torsion, fv.lambda_provenance, fv.torsion_provenance) == row[:4]
 
 
+def test_ellipsoid_rows_are_each_rows_formula_bit_for_bit(monkeypatch):
+    # _route takes the image semi-axes of a batch from one stacked SVD; each
+    # row must be what the formula gives it alone, on numpy 1.24 and current.
+    # A stand-in eigenvalue of each image ratio carries the ratio's bits, and
+    # the scale's, into the row, with no FEM solve
+    c, s = math.cos(0.4), math.sin(0.4)
+    ellipse = EllipsoidD([2.0, 1.0], [[c, -s], [s, c]])
+    cfg = SolverConfig(target_h=0.1, richardson=True)
+    monkeypatch.setattr(
+        functional,
+        "_ellipse_lambda",
+        lambda ratio, cfg: Spectral(ratio, 1.0, "fem_richardson", "fem_richardson", error_estimate=ratio * 1e-7, h_used=0.1 * ratio),
+    )
+    batch = _family_batch(*zip(*[(t, a) for t in GRID_THETAS for a in GRID_ALPHAS[1:]]))
+    want = []
+    for R, a in zip(batch[1], batch[2]):
+        axes = np.linalg.svd(np.diag(1.0 / a) @ R.T @ ellipse.rotation @ np.diag(ellipse.semi_axes))[1]
+        unit = functional._ellipse_lambda(float(axes[0] / axes[1]), cfg)
+        s = float(axes[1])
+        tor = torsion_euclid_ellipsoid(axes) * float(np.prod(a))
+        want.append((unit.lambda_ / s**2, tor, "fem_richardson", "closed_form", unit.error_estimate / s**2, unit.h_used * s, None))
+    assert _route(ellipse, batch, cfg) == want
+
+
 # the optimizer's ellipsoid settings (functional._default_quadratic_cfg)
 ELLIPSE_CFG = SolverConfig(target_h=0.1, richardson=True)
 
 
 @pytest.fixture
 def fresh_ellipse_memos(monkeypatch):
-    """Empty ratio and assembly memos, so that every value is built in the test."""
+    """Empty ratio, assembly and mesh memos, so that every value is built in the test."""
 
     def reset():
         monkeypatch.setattr(functional, "_ELLIPSE_LAMBDA", Memo(8192))
         monkeypatch.setattr(solver, "_ASSEMBLIES", Memo(1))
+        monkeypatch.setattr(solver, "_MESHES", Memo(16))
 
     reset()
     return reset
@@ -409,13 +435,27 @@ class TestEllipseLadder:
         polygons = []
         build = functional.ellipse_polygon
         monkeypatch.setattr(functional, "ellipse_polygon", lambda *args: polygons.append(args) or build(*args))
-        q_sweep(EllipsoidD([0.8519601523689644] * 2), [0.404253684670609, 0.471307414345069], "max")
+        tracemalloc.start()
+        try:
+            q_sweep(EllipsoidD([0.8519601523689644] * 2), [0.404253684670609, 0.471307414345069], "max")
+            lookups = (solver._MESHES.misses, solver._MESHES.hits)
+            held = tracemalloc.get_traced_memory()[0]
+            # the fixture's monkeypatch keeps the memo it replaced, not this
+            # one, which nothing else references: dropping it frees its meshes
+            solver._MESHES = Memo(16)
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         assert functional._ELLIPSE_LAMBDA.misses == 114
         # the golden-section phases descend to ratio 1 through the same
-        # bands, and the one-entry assembly memo rebuilds each on its visit;
-        # a ratio on the memoized anchor builds no anchor polygon
-        assert solver._ASSEMBLIES.misses <= 40
-        assert len(polygons) == solver._ASSEMBLIES.misses
+        # bands, and the one-entry assembly memo rebuilds each on its visit
+        # (40 builds), from the mesh memo: each anchor's 256-gon is built and
+        # meshed once
+        assert solver._ASSEMBLIES.misses == 40
+        assert len(polygons) == len(set(polygons)) == 30
+        assert lookups == (30, 10)
+        # its last 16 meshes, each of about 700 nodes and 1,300 triangles
+        assert 0 < held <= 1 << 20
 
 
 @pytest.mark.parametrize("domain", [random_star_polygon(np.random.default_rng(21), 6, 0.3, 0.6), EllipsoidD([1.0, 1.0])])

@@ -1,4 +1,4 @@
-"""The mesher's vectorized outline kernels and refiner set-up against
+"""The mesher's vectorized outline kernels and longest-edge refiner against
 per-edge loop oracles.
 
 The kernels decide which lattice points and triangles a mesh keeps, so they
@@ -23,13 +23,14 @@ from anisospec.fem.meshing import (
     _Refiner,
     _sample_boundary,
 )
+from anisospec.functional import _ladder_anchor
 from anisospec.geometry import ellipse_polygon
 from conftest import (
+    LoopRefiner,
     dense_dist_to_outline,
     dense_points_in_polygon,
     loop_dist_to_outline,
     loop_points_in_polygon,
-    loop_refiner_state,
     loop_sample_boundary,
     random_star_polygon,
 )
@@ -215,17 +216,14 @@ def test_kernels_memory_when_every_edge_reaches_every_point(rng):
     assert peak <= dense_peak
 
 
-def _assert_same_state(refiner, nodes, triangles):
-    tris, edge_map = loop_refiner_state(nodes, triangles)
-    assert list(refiner.tris.items()) == list(tris.items())
-    assert list(refiner.edge_map.items()) == list(edge_map.items())
-    # Python ints and floats, as _add makes them, not NumPy scalars
-    assert {type(x) for v in refiner.tris.values() for x in (v[0], *v[1], *v[2])} <= {int, float}
-    assert {type(x) for e, tids in refiner.edge_map.items() for x in (*e, *tids)} == {int}
-    assert refiner.next_tid == len(triangles)
+def _assert_refines_as_loop(nodes, triangles, h):
+    got = _Refiner(nodes, triangles, h).run()
+    want = LoopRefiner(nodes, triangles, h).run()
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_refiner_state_matches_loop(rng):
+def test_refiner_matches_loop(rng, l_shape):
     # the fast-path triangulations the ellipse route refines, and star polygons
     cases = [(ellipse_polygon(r, 1.0, 256), 0.1 * math.sqrt(r)) for r in (1.0, 6.5, 30.0, 80.0)]
     cases += [(random_star_polygon(rng, n=n), 0.12) for n in (6, 11, 60)]
@@ -234,18 +232,29 @@ def test_refiner_state_matches_loop(rng):
         # a star polygon may leave the fast path for ear clipping
         assert fast is not None or k >= 4
         if fast is not None:
-            _assert_same_state(_Refiner(*fast, h), *fast)
+            _assert_refines_as_loop(*fast, h)
         V = poly.vertices
-        _assert_same_state(_Refiner(V, _ear_clip(V), h), V, _ear_clip(V))
+        _assert_refines_as_loop(V, _ear_clip(V), h)
+    # the anchors of the disc grid's 20 aspect ratios 1 / alpha, and the
+    # L-shape at fine h, whose starting triangulations have 2,988 and 19,072
+    # triangles
+    cases = [(ellipse_polygon(r, 1.0, 256), 0.1 * math.sqrt(r)) for r in map(_ladder_anchor, 1.0 / np.linspace(0.05, 1.0, 20))]
+    cases += [(l_shape, 0.05), (l_shape, 0.02)]
+    for poly, h in cases:
+        fast = _grid_delaunay(poly, h)
+        assert fast is not None
+        _assert_refines_as_loop(*fast, h)
 
 
-def test_refiner_state_breaks_ties_as_loop():
+def test_refiner_breaks_ties_as_loop():
     # isosceles triangles whose two longest edges tie exactly, with every
-    # rotation of their corners: the larger (low, high) pair must win
+    # rotation of their corners: the larger (low, high) pair must win; each
+    # rotation alone, and all nine, whose edges each lie on up to six
     nodes = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [3.0, 2.0], [1.0, -2.0]])
     base = np.array([[0, 1, 2], [1, 3, 2], [0, 4, 1]])
-    triangles = np.concatenate([np.roll(base, k, axis=1) for k in range(3)])
-    _assert_same_state(_Refiner(nodes, triangles, 0.5), nodes, triangles)
+    rotations = [np.roll(base, k, axis=1) for k in range(3)]
+    for triangles in [*rotations, np.concatenate(rotations)]:
+        _assert_refines_as_loop(nodes, triangles, 0.5)
 
 
 def test_meshes_match_loop_kernels(rng, monkeypatch):
