@@ -19,9 +19,13 @@ routes a batch of one through `_spectral`, the rank-1 optimizer its whole
 angle scan, and the quadratic optimizer its grid: the rank-1 boundary
 column, then the inner cells, as one batch or, on a polygon at one FEM
 level, in midpoint batches that skip the cells the solves' exact gradients
-prove worse than the grid optimum (`_pruned_grid`). Degenerate quadratics
-(one alpha = 0) are exactly rank-1 and go to the exact slicing solver or to
-a closed form; the zero seminorm is rejected as a distinguished error.
+prove worse than the grid optimum (`_pruned_grid`). From an inner grid
+optimum on such a polygon the quadratic optimizer polishes with the same
+gradients (`_polish`), one batch of one a point; every other quadratic
+optimum, and the rank-1 optimizer's best scan angle, is refined by golden
+sections. Degenerate quadratics (one alpha = 0) are exactly rank-1 and go to
+the exact slicing solver or to a closed form; the zero seminorm is rejected
+as a distinguished error.
 """
 
 from __future__ import annotations
@@ -90,6 +94,14 @@ _PRUNE_MARGIN = 1e-9
 # relative bound on how far the solves of Q(theta, 1), which is I up to
 # rounding, stray from the Euclidean solve: far above that rounding
 _EUCLID_SLACK = 1e-12
+# the quadratic grid's steps in (theta, alpha), the polish's unit lengths
+_GRID_STEPS = (math.pi / 36.0, 0.05)
+# the polish stops once its quasi-Newton model promises less than this
+# relative gain, a few times the rounding in one FEM value
+_POLISH_GAIN = 1e-14
+# a cap on the polish's steps, above the at most 31 evaluations it has taken
+# on stars and the L-shape at q from 1 to 3
+_POLISH_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,9 @@ class OptimizationReport:
     the quadratic family (None for rank-1). boundary_flag records whether the
     optimum sits on the rank-1 boundary of the family. trace holds every
     (parameters, value) evaluation: the scan or the grid cells solved, in
-    angle or theta-major order, then the golden-section points in order.
+    angle or theta-major order, then the refinement's points in order: the
+    golden-section points, or, after a quadratic polish, its points, the
+    alpha = 0 point at its angle and any golden-section points from there.
     The quadratic grid leaves out the cells proved worse than its optimum.
     """
 
@@ -424,6 +438,76 @@ def _golden(f, lo: float, hi: float, tol: float):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _family_gradient(row, theta: float, alpha: float, q: float) -> tuple:
+    """lambda * T**q of a quadratic `_route` row at (theta, alpha) of the
+    family and its derivatives in theta and alpha, from the row's gradient in
+    (Q11, Q12, Q22) through Q11 = c^2 + a^2 s^2, Q12 = c s (1 - a^2),
+    Q22 = s^2 + a^2 c^2."""
+    lam, tor, grad = row[0], row[1], row[6]
+    value = lam * tor**q
+    c, s, a2 = math.cos(theta), math.sin(theta), alpha * alpha
+    dq = np.array([[-2.0 * c * s, c * c - s * s, 2.0 * c * s], [2.0 * alpha * s * s, -2.0 * alpha * c * s, 2.0 * alpha * c * c]])
+    dq[0] *= 1.0 - a2
+    return value, dq @ (value * (grad[0] / lam + q * grad[1] / tor))
+
+
+def _armijo(fg, x, phi: float, g, p, scale, floor: float):
+    """(x_new, s, phi_new, g_new) of the first of x + t * p, t = 1, 1/2, ...,
+    2**-9, with alpha clipped to [floor, 1], that meets Armijo's condition
+    phi_new <= phi + 1e-4 g . s for the step s, in grid steps; None when none
+    does or the clipping turns the step uphill."""
+    for t in 0.5 ** np.arange(10.0):
+        x_new = x + t * p * scale
+        x_new[1] = min(max(x_new[1], floor), 1.0)
+        s = (x_new - x) / scale
+        if not g @ s < 0.0:
+            return None
+        phi_new, g_new = fg(*x_new.tolist())
+        if phi_new <= phi + 1e-4 * (g @ s):
+            return x_new, s, phi_new, g_new * scale
+    return None
+
+
+def _polish(fg, theta: float, alpha: float, phi: float, g, floor: float) -> tuple:
+    """Projected BFGS on phi(theta, alpha), which fg returns with its
+    gradient, from (theta, alpha), where they are phi and g: theta is free,
+    and alpha stays in [floor, 1] and is held at a bound the gradient presses
+    against. It works in grid steps (one unit a cell), takes at most one
+    cell a step, and stops when its model promises a relative gain below
+    _POLISH_GAIN or `_armijo` finds no step. Returns the last point, theta
+    folded into [0, pi), and its phi."""
+    scale = np.array(_GRID_STEPS)
+    x = np.array([theta, alpha])
+    g = g * scale
+    B = None
+    for _ in range(_POLISH_STEPS):
+        free = np.array([True, not ((x[1] <= floor and g[1] > 0.0) or (x[1] >= 1.0 and g[1] < 0.0))])
+        if not g[free].any():
+            # stationary, as at alpha = 1, where Q is I at every theta
+            break
+        p = np.zeros(2)
+        if B is None:
+            # half a cell down the gradient
+            p[free] = -0.5 * g[free] / np.linalg.norm(g[free])
+        else:
+            p[free] = -np.linalg.solve(B[np.ix_(free, free)], g[free])
+            if -(g @ p) < 2.0 * _POLISH_GAIN * abs(phi):
+                break
+            p /= max(1.0, np.linalg.norm(p))
+        step = _armijo(fg, x, phi, g, p, scale, floor)
+        if step is None:
+            break
+        x_new, s, phi, g_new = step
+        y = g_new - g
+        if s @ y > 0.0:
+            if B is None:
+                B = (y @ y) / (s @ y) * np.eye(2)
+            Bs = B @ s
+            B = B + np.outer(y, y) / (s @ y) - np.outer(Bs, Bs) / (s @ Bs)
+        x, g = x_new, g_new
+    return float(x[0] % math.pi), float(x[1]), phi
+
+
 def _check_mode(mode: str) -> float:
     if mode not in ("min", "max"):
         raise InputError("mode must be 'min' or 'max'")
@@ -588,14 +672,20 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     """Best seminorm in the normalized quadratic family at exponent q.
 
     Coarse 36 x 21 grid over (theta, alpha), alpha = 0 evaluated by the exact
-    degenerate route, then alternating golden-section refinement in each
-    parameter until both updates fall below 1e-4, from the grid's first best
-    cell in theta-major order. On a polygon at one FEM level, whose solves
-    carry exact gradients, the inner cells (alpha > 0) are solved in rounds
-    of midpoint batches that leave out every cell that concavity bounds
-    prove worse than the grid optimum (`_pruned_grid`), about 50 of the 720
-    on the benchmark's stars; elsewhere they go to _route as one batch. The
-    optimum is the full grid's either way. A sweep over exponents solves the
+    degenerate route, then a refinement from the grid's first best cell in
+    theta-major order. On a polygon at one FEM level, whose solves carry
+    exact gradients, the inner cells (alpha > 0) are solved in rounds of
+    midpoint batches that leave out every cell that concavity bounds prove
+    worse than the grid optimum (`_pruned_grid`), about 50 of the 720 on the
+    benchmark's stars; elsewhere they go to _route as one batch. The optimum
+    is the full grid's either way. From an inner best cell of such a
+    polygon, a projected quasi-Newton polish on those gradients (`_polish`,
+    alpha in [5e-3, 1]) refines; then the exact alpha = 0 value at its angle
+    is evaluated and, if it is better, the golden-section refinement below
+    runs from there. Every other start (a rank-1 boundary cell, or any cell
+    of an ellipsoid or a Richardson pair, which carry no gradient) is
+    refined by alternating golden sections in each parameter until both
+    updates fall below 1e-4. A sweep over exponents solves the
     alpha = 0 column and the first pruning batch once. Tiny alpha is snapped
     to the rank-1 boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids,
     where the stretched eigensolve stops paying for itself), and the
@@ -617,12 +707,35 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
         trace.append(((theta, alpha), val))
         return sign * val
 
+    def fg(theta: float, alpha: float) -> tuple:
+        # eval_F's memo key, so that the report's re-evaluation is a hit
+        theta = float(theta % math.pi)
+        H = _family_seminorm(theta, alpha)
+        row = _spectra(domain, ("quadratic", H.rotation[None], H.alphas[None]), cfg)[0]
+        val, grad = _family_gradient(row, theta, alpha, q)
+        trace.append(((theta, alpha), float(val)))
+        return sign * val, sign * grad
+
+    def refine(theta: float, alpha: float) -> None:
+        d_theta, d_alpha = _GRID_STEPS
+        for _ in range(24):
+            new_alpha, _ = _golden(lambda a: f(theta, a), max(0.0, alpha - d_alpha), min(1.0, alpha + d_alpha), 1e-5)
+            new_alpha = snap(new_alpha)
+            new_theta, _ = _golden(lambda t: f(t, new_alpha), theta - d_theta, theta + d_theta, 1e-5)
+            moved = max(abs(new_alpha - alpha), abs(new_theta - theta))
+            theta, alpha = float(new_theta % math.pi), new_alpha
+            d_theta = max(d_theta / 3.0, 1e-5)
+            d_alpha = max(d_alpha / 3.0, 1e-5)
+            if moved < 1e-4:
+                break
+
     theta_grid = (np.arange(36) * (math.pi / 36.0)).tolist()
     alpha_grid = [snap(a) for a in np.linspace(0.0, 1.0, 21)]
     cells = [(t, a) for t in theta_grid for a in alpha_grid]
     rows = dict(zip([(t, 0.0) for t in theta_grid], _spectra(domain, _family_batch(theta_grid), cfg)))
     # the polygon route at one FEM level is the one whose rows carry gradients
-    if isinstance(domain, Polygon2D) and not cfg.richardson:
+    gradients = isinstance(domain, Polygon2D) and not cfg.richardson
+    if gradients:
         best = min(sign * (row[0] * row[1] ** q) for row in rows.values())
         rows.update(_pruned_grid(domain, theta_grid, alpha_grid[1:], q, sign, best, cfg))
     else:
@@ -632,19 +745,14 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     # every cell left out is worse, so it is np.argmin's cell of the full grid
     trace = [(cell, float(rows[cell][0] * rows[cell][1] ** q)) for cell in cells if cell in rows]
     theta, alpha = trace[int(np.argmin([sign * val for _, val in trace]))][0]
-
-    d_theta = math.pi / 36.0
-    d_alpha = 0.05
-    for _ in range(24):
-        new_alpha, _ = _golden(lambda a: f(theta, a), max(0.0, alpha - d_alpha), min(1.0, alpha + d_alpha), 1e-5)
-        new_alpha = snap(new_alpha)
-        new_theta, _ = _golden(lambda t: f(t, new_alpha), theta - d_theta, theta + d_theta, 1e-5)
-        moved = max(abs(new_alpha - alpha), abs(new_theta - theta))
-        theta, alpha = float(new_theta % math.pi), new_alpha
-        d_theta = max(d_theta / 3.0, 1e-5)
-        d_alpha = max(d_alpha / 3.0, 1e-5)
-        if moved < 1e-4:
-            break
+    if gradients and alpha > 0.0:
+        val, grad = _family_gradient(rows[(theta, alpha)], theta, alpha, q)
+        theta, alpha, phi = _polish(fg, theta, alpha, sign * val, sign * grad, floor)
+        # the rank-1 boundary at the polished angle, refined as before if it wins
+        if f(theta, 0.0) < phi:
+            refine(theta, 0.0)
+    else:
+        refine(theta, alpha)
 
     (best_theta, best_alpha), best_val = min(trace, key=lambda e: (sign * e[1], e[0]))
     best = eval_F(domain, _family_seminorm(best_theta, best_alpha), q, cfg)

@@ -458,22 +458,128 @@ class TestEllipseLadder:
         assert 0 < held <= 1 << 20
 
 
-@pytest.mark.parametrize("domain", [random_star_polygon(np.random.default_rng(21), 6, 0.3, 0.6), EllipsoidD([1.0, 1.0])])
-def test_optimize_quadratic_matches_grid_cell_loop(domain):
-    report = optimize_quadratic(domain, 1.05, "min")
-    theta, alpha, value, flag, trace = loop_optimize_quadratic(domain, 1.05, "min")
-    assert (report.theta, report.alpha, report.value, report.boundary_flag) == (theta, alpha, value, flag)
+STAR6 = random_star_polygon(np.random.default_rng(21), 6, 0.3, 0.6)
+# quad-polygon's seed 9801 input 1: a convex max op whose grid optimum is an
+# inner cell and whose optimum sits on the alpha floor
+QUAD_MAX = Polygon2D(
+    [
+        [0.41242797575697887, 0.019568730592692485],
+        [0.3086868339534724, 0.27748372809541305],
+        [0.13646255173701774, 0.39337700943630544],
+        [-0.17789076112412136, 0.37723103016568393],
+        [-0.35358550684630374, 0.21986631667530587],
+        [-0.41404167595808006, -0.02388118098565476],
+        [-0.34293978710028106, -0.23016328087695279],
+        [-0.06764561557888163, -0.4053858399672919],
+        [0.1789300009548232, -0.3695725908373717],
+        [0.3195959842053756, -0.25852392229812954],
+    ]
+)
+QUAD_MAX_Q = 2.027831665605547
+
+
+def _grid_part(report, loop_trace, sign) -> int:
+    """The number of grid cells that open the report's trace, up to the first
+    point off the grid or back on a cell already met, after checking that
+    they are the loop's cells, values and order, and that every cell left
+    out is worse than the grid optimum."""
+    grid = loop_trace[: 36 * 21]
+    cells, solved = {cell for cell, _ in grid}, set()
+    for cell, _ in report.trace:
+        if cell not in cells or cell in solved:
+            break
+        solved.add(cell)
+    k = len(solved)
+    assert report.trace[:k] == tuple(entry for entry in grid if entry[0] in solved)
+    best = min(sign * v for _, v in grid)
+    assert all(sign * v > best for cell, v in grid if cell not in solved)
+    return k
+
+
+@pytest.mark.parametrize(
+    "domain, q, mode, cfg, inner",
+    [
+        (STAR6, 1.05, "min", None, False),
+        (EllipsoidD([1.0, 1.0]), 1.05, "min", None, False),
+        (STAR6, 2.0, "max", SolverConfig(target_h=0.2, richardson=True), True),
+        (STAR6, 2.0, "max", None, True),
+    ],
+    ids=["boundary-start", "disc", "richardson", "polished"],
+)
+def test_optimize_quadratic_matches_grid_cell_loop(domain, q, mode, cfg, inner):
+    sign = 1.0 if mode == "min" else -1.0
+    report = optimize_quadratic(domain, q, mode, cfg)
+    theta, alpha, value, flag, trace = loop_optimize_quadratic(domain, q, mode, cfg)
     # the loop's trace is its 36 x 21 grid, theta-major, then the golden
-    # section; the report's lists the grid cells it solved, then the same tail
+    # section from the grid's first best cell
     grid, tail = trace[: 36 * 21], trace[36 * 21 :]
-    solved = dict(report.trace[: len(report.trace) - len(tail)])
-    assert report.trace[len(solved) :] == tail
-    assert report.trace[: len(solved)] == tuple(cell for cell in grid if cell[0] in solved)
-    best = min(v for _, v in grid)
-    assert all(v > best for cell, v in grid if cell not in solved)
+    start = grid[int(np.argmin([sign * v for _, v in grid]))][0]
+    assert (start[1] > 0.0) == inner
+    k = _grid_part(report, trace, sign)
+    if inner and cfg is None:
+        # polished: equal or better, and on the same side of the boundary
+        assert sign * report.value <= sign * value
+        assert report.boundary_flag == flag
+    else:
+        # no gradient, or a start on the rank-1 boundary: the loop's tail
+        assert (report.theta, report.alpha, report.value, report.boundary_flag) == (theta, alpha, value, flag)
+        assert report.trace[k:] == tail
     if isinstance(domain, EllipsoidD):
         # no gradient on the ellipse route: every cell is solved
         assert report.trace == trace
+
+
+def test_polish_pins_a_quad_polygon_max_op():
+    report = optimize_quadratic(QUAD_MAX, QUAD_MAX_Q, "max")
+    theta, alpha, value, flag, trace = loop_optimize_quadratic(QUAD_MAX, QUAD_MAX_Q, "max")
+    k = _grid_part(report, trace, -1.0)
+    # the polish lands on the alpha floor, where the golden sections stop
+    # one tolerance short of it, and no worse in value
+    assert report.alpha == 0.005 and 0.005 < alpha < 0.00501
+    assert report.value >= value and report.boundary_flag is flag is False
+    # against the same solved grid cells followed by the loop's golden tail
+    assert len(report.trace) <= 0.75 * (k + len(trace) - 36 * 21)
+
+
+def test_polish_hands_a_better_boundary_to_the_golden_sections(monkeypatch):
+    # when the exact alpha = 0 value at the polished angle beats the polish,
+    # the golden sections run from that point: a polish whose value reads
+    # infinitely bad leaves the same trace, then the golden-section points
+    plain = optimize_quadratic(QUAD_MAX, QUAD_MAX_Q, "max")
+    polish = functional._polish
+    monkeypatch.setattr(functional, "_polish", lambda *args: (*polish(*args)[:2], math.inf))
+    handed = optimize_quadratic(QUAD_MAX, QUAD_MAX_Q, "max")
+    n = len(plain.trace)
+    theta = plain.trace[-1][0][0]
+    assert plain.trace[-1][0] == (theta, 0.0)
+    assert handed.trace[:n] == plain.trace and len(handed.trace) > n
+    # the first golden section runs in alpha along the polished angle
+    assert handed.trace[n][0][0] == theta and 0.0 < handed.trace[n][0][1] < 0.05
+    assert (handed.theta, handed.alpha, handed.value) == (plain.theta, plain.alpha, plain.value)
+
+
+@pytest.mark.parametrize("theta, alpha", [(0.3, 0.35), (1.9, 0.05)])
+@pytest.mark.parametrize("name", ["star", "l_shape"])
+def test_family_gradient_matches_central_differences(name, theta, alpha, l_shape):
+    # the polish's derivatives in theta and alpha at q = 2, on the dense
+    # branch (the 7-vertex star) and on the band branch (the L-shape)
+    poly = STAR7 if name == "star" else l_shape
+    cfg = SolverConfig(target_h=0.12)
+    n = len(solver._polygon_levels(poly, cfg)[0].f)
+    assert (n <= solver._DENSE_MAX) == (name == "star")
+
+    def F(t, a):
+        row = _route(poly, _family_batch([t], [a]), cfg)[0]
+        return functional._family_gradient(row, t, a, 2.0)
+
+    value, grad = F(theta, alpha)
+    assert value > 0.0
+    for k, step in enumerate((1e-5, 1e-5 * alpha)):
+        up, down = np.array([theta, alpha]), np.array([theta, alpha])
+        up[k] += step
+        down[k] -= step
+        central = (F(*up)[0] - F(*down)[0]) / (2.0 * step)
+        assert central == pytest.approx(grad[k], rel=1e-6)
 
 
 @pytest.mark.parametrize("q, mode", [(1.0, "min"), (3.0, "min"), (2.0, "max"), (0.5, "max"), (-0.5, "max"), (-0.5, "min")])
