@@ -44,10 +44,15 @@ computes one.
 
 Only nondegenerate quadratics have a FEM problem here: a vanishing alpha is
 rejected, and the zero seminorm raises its distinguished error.
+
+The ellipse route lives here too: `_ellipse_lambda` solves the unit ellipse
+of each aspect ratio on the mesh of its ladder anchor, stretched by a Gram
+matrix, with its own ratio and anchor-mesh memos.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +60,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dstev, dsyevr, dtrtrs
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import cg  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
-from ..errors import DegenerateSeminormError, InvalidSeminormError, SolverError
-from ..geometry import Polygon2D
+from ..errors import DegenerateSeminormError, InvalidDomainError, InvalidSeminormError, SolverError
+from ..geometry import Polygon2D, ellipse_polygon
 from ..memo import Memo
 from ..seminorms import QuadraticSeminorm, SolverConfig, Spectral
 from .meshing import TriMesh, mesh_polygon
@@ -227,30 +232,82 @@ def _levels(mesh: TriMesh, cfg: SolverConfig) -> list[_Assembly]:
 # the last polygon's assemblies: an optimizer solves one polygon at a time,
 # under hundreds of seminorms
 _ASSEMBLIES = Memo(1)
-# the last coarse meshes (about 40 KB each on the ellipse route), by
-# (name, target_h): the golden-section phases of an ellipse optimizer revisit
-# the ladder bands they crossed, and a revisited band is then refined and
-# assembled again, but not meshed again
-_MESHES = Memo(16)
 
 
 def _polygon_levels(polygon: Polygon2D, cfg: SolverConfig) -> list[_Assembly]:
     """The polygon's `_levels` under cfg, built once while it is the last
     polygon solved."""
-    return _named_levels(polygon.fingerprint, lambda: polygon, cfg)
+    return _ASSEMBLIES.get_or((polygon.fingerprint, cfg), lambda: _levels(mesh_polygon(polygon, cfg.target_h), cfg))
 
 
-def _named_levels(name, build, cfg: SolverConfig) -> list[_Assembly]:
-    """`_levels` under cfg of the mesh of the polygon that build() returns,
-    named by `name`: the levels are built only when name is not the last
-    polygon solved, and build runs, and the polygon is meshed, only when its
-    mesh is not among the last `_MESHES` made."""
+# unit-ellipse eigenvalues by aspect ratio rounded to 1e-9, shared by every
+# ellipsoid: discs of different radii under one seminorm meet the same
+# ratios. Each value is a function of its key alone (see _ellipse_lambda).
+_ELLIPSE_LAMBDA = Memo(8192)
+_ELLIPSE_VERTICES = 256
+# relative step of the ladder of anchor ratios whose meshes the ellipse
+# route solves on: the ratios within one step share one mesh
+_LADDER_STEP = 1e-3
+# the last anchor meshes (about 40 KB each), by (anchor, h): the
+# golden-section phases of an ellipse optimizer revisit the ladder bands they
+# crossed, and a revisited band is then refined and assembled again, but not
+# meshed again
+_MESHES = Memo(16)
 
-    def levels():
-        mesh = _MESHES.get_or((name, cfg.target_h), lambda: mesh_polygon(build(), cfg.target_h))
-        return _levels(mesh, cfg)
 
-    return _ASSEMBLIES.get_or((name, cfg.target_h, cfg.richardson), levels)
+def _ladder_anchor(ratio: float) -> float:
+    """The largest ladder point round((1 + _LADDER_STEP)**k, 9), k >= 0, not
+    above ratio >= 1; the ladder starts at 1.0 exactly."""
+    k = math.floor(math.log(ratio) / math.log1p(_LADDER_STEP))
+    # the quotient may land one step off a ladder point either way
+    points = (round((1.0 + _LADDER_STEP) ** j, 9) for j in (k - 1, k, k + 1))
+    return max(p for p in points if p <= ratio)
+
+
+def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
+    """Euclidean eigenvalue of the ellipse with semi-axes (ratio, 1) by FEM
+    on an inscribed 256-gon, memoized because optimizer sweeps revisit ratios.
+
+    The ratio is rounded to 1e-9, as its memo key is, and solved on the mesh
+    of its ladder anchor r0 (`_ladder_anchor`), built for the (r0, 1) 256-gon
+    at h = target_h * sqrt(r0) so that the element count stays roughly
+    constant. P1 is affine-equivariant: stretching that mesh by ratio / r0
+    along x meshes the (ratio, 1) 256-gon exactly, and its Euclidean problem
+    is the anchor mesh's problem under the Gram matrix diag(s^2, 1),
+    s = r0 / ratio. Nearby ratios thus share one polygon, mesh and assembly
+    (`_ASSEMBLIES` keeps the last anchor's assemblies and `_MESHES` the last
+    16 anchors' meshes, so a ratio whose anchor's mesh is memoized builds no
+    polygon and meshes nothing), each value depends on (ratio, cfg) alone,
+    and at a ladder point, ratio 1 among them, s = 1 and the solve is the
+    Euclidean one on the ratio's own polygon."""
+    # 1e-9 key granularity: ratios reached through different scalings of the
+    # same seminorm differ by float roundoff and must land in one bucket
+    ratio = round(float(ratio), 9)
+
+    def solve():
+        try:
+            anchor = _ladder_anchor(ratio)
+            h = cfg.target_h * math.sqrt(anchor)
+
+            def levels():
+                mesh = _MESHES.get_or((anchor, h), lambda: mesh_polygon(ellipse_polygon(anchor, 1.0, _ELLIPSE_VERTICES), h))
+                return _levels(mesh, cfg)
+
+            levels = _ASSEMBLIES.get_or((anchor, h, cfg.richardson), levels)
+        except (InvalidDomainError, OverflowError) as exc:
+            # the polygon is ours, not the caller's: a failed check, or a
+            # ratio whose ladder leaves the float range, means the image
+            # ellipse is too thin for its inscribed polygon
+            raise SolverError(
+                f"the image ellipse of aspect ratio {ratio:.6g} is too thin to solve: "
+                f"its inscribed {_ELLIPSE_VERTICES}-gon fails the polygon checks ({exc})"
+            ) from exc
+        s = anchor / ratio
+        lam, tor, h_used, err, _, prov, _ = _fem(levels, np.diag([s * s, 1.0]))
+        # the stretch scales areas, and so the torsion, and x-lengths by 1 / s
+        return Spectral(lam, tor / s, prov, prov, error_estimate=err, h_used=h_used / s)
+
+    return _ELLIPSE_LAMBDA.get_or((ratio, cfg), solve)
 
 
 def _lowest(K, M, solve, u):

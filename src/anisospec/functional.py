@@ -31,8 +31,7 @@ as a distinguished error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +46,12 @@ from .errors import (
     InputError,
     InvalidDomainError,
     InvalidSeminormError,
-    SolverError,
     UnsupportedError,
 )
 from .geometry import (
     BoxD,
     EllipsoidD,
     Polygon2D,
-    ellipse_polygon,
     is_centrally_symmetric,
     measure,
 )
@@ -177,14 +174,6 @@ class BoundsReport:
 # spectral values of the current domain only: optimizers and sweeps revisit
 # seminorms on the domain they are solving, never on one they have left
 _SPECTRAL = Memo(1)
-# unit-ellipse eigenvalues by aspect ratio rounded to 1e-9, shared by every
-# ellipsoid: discs of different radii under one seminorm meet the same
-# ratios. Each value is a function of its key alone (see _ellipse_lambda).
-_ELLIPSE_LAMBDA = Memo(8192)
-_ELLIPSE_VERTICES = 256
-# relative step of the ladder of anchor ratios whose meshes the ellipse
-# route solves on: the ratios within one step share one mesh
-_LADDER_STEP = 1e-3
 
 
 def _domain_key(domain):
@@ -193,61 +182,6 @@ def _domain_key(domain):
     if isinstance(domain, BoxD):
         return ("box", domain.intervals.tobytes())
     return ("ellipsoid", domain.semi_axes.tobytes(), domain.rotation.tobytes())
-
-
-def _ladder_anchor(ratio: float) -> float:
-    """The largest ladder point round((1 + _LADDER_STEP)**k, 9), k >= 0, not
-    above ratio >= 1; the ladder starts at 1.0 exactly."""
-    k = math.floor(math.log(ratio) / math.log1p(_LADDER_STEP))
-    # the quotient may land one step off a ladder point either way
-    points = (round((1.0 + _LADDER_STEP) ** j, 9) for j in (k - 1, k, k + 1))
-    return max(p for p in points if p <= ratio)
-
-
-def _ellipse_lambda(ratio: float, cfg: SolverConfig) -> Spectral:
-    """Euclidean eigenvalue of the ellipse with semi-axes (ratio, 1) by FEM
-    on an inscribed 256-gon, memoized because optimizer sweeps revisit ratios.
-
-    The ratio is rounded to 1e-9, as its memo key is, and solved on the mesh
-    of its ladder anchor r0 (`_ladder_anchor`), built for the (r0, 1) 256-gon
-    at h = target_h * sqrt(r0) so that the element count stays roughly
-    constant. P1 is affine-equivariant: stretching that mesh by ratio / r0
-    along x meshes the (ratio, 1) 256-gon exactly, and its Euclidean problem
-    is the anchor mesh's problem under the Gram matrix diag(s^2, 1),
-    s = r0 / ratio. Nearby ratios thus share one polygon, mesh and assembly
-    (`fem.solver._named_levels`, keyed by the anchor, keeps the last
-    anchor's assemblies and the last 16 anchors' meshes, so a ratio whose
-    anchor's mesh is memoized builds no polygon and meshes nothing), each
-    value depends on (ratio, cfg) alone, and at a ladder point, ratio 1
-    among them, s = 1 and the solve is the Euclidean one on the ratio's own
-    polygon."""
-    from .fem.solver import _fem, _named_levels  # the FEM layer (and SciPy) loads on first use
-
-    # 1e-9 key granularity: ratios reached through different scalings of the
-    # same seminorm differ by float roundoff and must land in one bucket
-    ratio = round(float(ratio), 9)
-
-    def solve():
-        try:
-            anchor = _ladder_anchor(ratio)
-            # the anchor's polygon is built only when its levels are not the memoized ones
-            polygon = partial(ellipse_polygon, anchor, 1.0, _ELLIPSE_VERTICES)
-            h = cfg.target_h * math.sqrt(anchor)
-            levels = _named_levels(("ellipse", anchor), polygon, replace(cfg, target_h=h))
-        except (InvalidDomainError, OverflowError) as exc:
-            # the polygon is ours, not the caller's: a failed check, or a
-            # ratio whose ladder leaves the float range, means the image
-            # ellipse is too thin for its inscribed polygon
-            raise SolverError(
-                f"the image ellipse of aspect ratio {ratio:.6g} is too thin to solve: "
-                f"its inscribed {_ELLIPSE_VERTICES}-gon fails the polygon checks ({exc})"
-            ) from exc
-        s = anchor / ratio
-        lam, tor, h_used, err, _, prov, _ = _fem(levels, np.diag([s * s, 1.0]))
-        # the stretch scales areas, and so the torsion, and x-lengths by 1 / s
-        return Spectral(lam, tor / s, prov, prov, error_estimate=err, h_used=h_used / s)
-
-    return _ELLIPSE_LAMBDA.get_or((ratio, cfg), solve)
 
 
 def _rank1_ellipsoid(domain: EllipsoidD, unit, scale: float) -> tuple:
@@ -338,6 +272,8 @@ def _route(domain, batch, cfg: SolverConfig) -> list:
     if isinstance(domain, EllipsoidD):
         if domain.dimension != 2:
             raise UnsupportedError("no eigenvalue solver for quadratic seminorms on ellipsoids above dimension 2")
+        from .fem.solver import _ellipse_lambda  # the FEM layer (and SciPy) loads on first use
+
         # semi-axes of each image ellipse B E, B = diag(1/alpha) R^T, in
         # descending order; lambda_H(E) and T_H(E) depend on nothing else. One
         # stacked SVD of diag(1/alpha) @ R^T @ R_E @ diag(a_E), each product
@@ -701,20 +637,16 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     def snap(alpha) -> float:
         return 0.0 if alpha < floor else min(float(alpha), 1.0)
 
-    def f(theta: float, alpha: float) -> float:
+    def f(theta: float, alpha: float, gradient: bool = False):
+        # eval_F's batch of one and value, so that the report's
+        # re-evaluation is a memo hit; with the gradient when asked for
         theta, alpha = float(theta % math.pi), snap(alpha)
-        val = eval_F(domain, _family_seminorm(theta, alpha), q, cfg).value
-        trace.append(((theta, alpha), val))
-        return sign * val
-
-    def fg(theta: float, alpha: float) -> tuple:
-        # eval_F's memo key, so that the report's re-evaluation is a hit
-        theta = float(theta % math.pi)
         H = _family_seminorm(theta, alpha)
-        row = _spectra(domain, ("quadratic", H.rotation[None], H.alphas[None]), cfg)[0]
-        val, grad = _family_gradient(row, theta, alpha, q)
+        batch = ("quadratic", H.rotation[None], H.alphas[None]) if alpha > 0.0 else ("rank1", H.eta[None])
+        row = _spectra(domain, batch, cfg)[0]
+        val, grad = _family_gradient(row, theta, alpha, q) if gradient else (row[0] * row[1] ** q, None)
         trace.append(((theta, alpha), float(val)))
-        return sign * val, sign * grad
+        return (sign * val, sign * grad) if gradient else sign * val
 
     def refine(theta: float, alpha: float) -> None:
         d_theta, d_alpha = _GRID_STEPS
@@ -747,7 +679,7 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     theta, alpha = trace[int(np.argmin([sign * val for _, val in trace]))][0]
     if gradients and alpha > 0.0:
         val, grad = _family_gradient(rows[(theta, alpha)], theta, alpha, q)
-        theta, alpha, phi = _polish(fg, theta, alpha, sign * val, sign * grad, floor)
+        theta, alpha, phi = _polish(lambda t, a: f(t, a, True), theta, alpha, sign * val, sign * grad, floor)
         # the rank-1 boundary at the polished angle, refined as before if it wins
         if f(theta, 0.0) < phi:
             refine(theta, 0.0)

@@ -558,7 +558,7 @@ def loop_optimize_quadratic(domain, q: float, mode: str = "min", cfg=None):
     return float(best_theta), float(best_alpha), float(best_val), best_alpha == 0.0, tuple(trace)
 
 
-# functional._ellipse_lambda as it was before nearby aspect ratios shared a
+# fem.solver._ellipse_lambda as it was before nearby aspect ratios shared a
 # mesh: each ratio meshes its own (ratio, 1) 256-gon and solves the Euclidean
 # problem there. At ratio 1 and at every ladder point the shared-mesh route
 # must give its values bit for bit, and elsewhere stay within mesh noise.

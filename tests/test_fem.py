@@ -20,10 +20,10 @@ from anisospec.fem import (
     solve_quadratic,
 )
 from anisospec.fem.meshing import _ear_clip, _grid_delaunay, _Refiner
-from anisospec.functional import _family_seminorm, _ladder_anchor, eval_F
+from anisospec.functional import _family_seminorm, eval_F
 from anisospec.memo import Memo
 from anisospec.fem import solver
-from anisospec.fem.solver import _EUCLID, _Assembly, _solve, p1_assemble
+from anisospec.fem.solver import _EUCLID, _Assembly, _ladder_anchor, _solve, p1_assemble
 from conftest import STAR7, loop_dist_to_outline, mesh_areas, random_star_polygon
 
 J01_SQUARED = 5.783185962946785

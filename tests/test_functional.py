@@ -353,7 +353,7 @@ def test_ellipsoid_rows_are_each_rows_formula_bit_for_bit(monkeypatch):
     ellipse = EllipsoidD([2.0, 1.0], [[c, -s], [s, c]])
     cfg = SolverConfig(target_h=0.1, richardson=True)
     monkeypatch.setattr(
-        functional,
+        solver,
         "_ellipse_lambda",
         lambda ratio, cfg: Spectral(ratio, 1.0, "fem_richardson", "fem_richardson", error_estimate=ratio * 1e-7, h_used=0.1 * ratio),
     )
@@ -361,7 +361,7 @@ def test_ellipsoid_rows_are_each_rows_formula_bit_for_bit(monkeypatch):
     want = []
     for R, a in zip(batch[1], batch[2]):
         axes = np.linalg.svd(np.diag(1.0 / a) @ R.T @ ellipse.rotation @ np.diag(ellipse.semi_axes))[1]
-        unit = functional._ellipse_lambda(float(axes[0] / axes[1]), cfg)
+        unit = solver._ellipse_lambda(float(axes[0] / axes[1]), cfg)
         s = float(axes[1])
         tor = torsion_euclid_ellipsoid(axes) * float(np.prod(a))
         want.append((unit.lambda_ / s**2, tor, "fem_richardson", "closed_form", unit.error_estimate / s**2, unit.h_used * s, None))
@@ -377,7 +377,7 @@ def fresh_ellipse_memos(monkeypatch):
     """Empty ratio, assembly and mesh memos, so that every value is built in the test."""
 
     def reset():
-        monkeypatch.setattr(functional, "_ELLIPSE_LAMBDA", Memo(8192))
+        monkeypatch.setattr(solver, "_ELLIPSE_LAMBDA", Memo(8192))
         monkeypatch.setattr(solver, "_ASSEMBLIES", Memo(1))
         monkeypatch.setattr(solver, "_MESHES", Memo(16))
 
@@ -391,12 +391,12 @@ class TestEllipseLadder:
         # the Euclidean solve on the ratio's own 256-gon
         for k in (0, 1, 7, 500):
             ratio = round(1.001**k, 9)
-            assert functional._ladder_anchor(ratio) == ratio
-            assert functional._ellipse_lambda(ratio, ELLIPSE_CFG) == own_mesh_ellipse_lambda(ratio, ELLIPSE_CFG)
+            assert solver._ladder_anchor(ratio) == ratio
+            assert solver._ellipse_lambda(ratio, ELLIPSE_CFG) == own_mesh_ellipse_lambda(ratio, ELLIPSE_CFG)
 
     def test_anchor_is_the_largest_ladder_point_below(self):
         for ratio in (1.0, 1.0009999, 1.001, 1.0010001, 7.3, 40.0, 1e8):
-            anchor = functional._ladder_anchor(ratio)
+            anchor = solver._ladder_anchor(ratio)
             k = round(math.log(anchor) / math.log1p(1e-3))
             assert anchor == round(1.001**k, 9) <= ratio < round(1.001 ** (k + 1), 9)
 
@@ -405,14 +405,14 @@ class TestEllipseLadder:
         # an overflowed ratio, or one whose next ladder point overflows, fails
         # as a thin image ellipse does, naming the ratio
         with pytest.raises(SolverError, match=re.escape(f"aspect ratio {ratio:.6g} is too thin")):
-            functional._ellipse_lambda(ratio, ELLIPSE_CFG)
+            solver._ellipse_lambda(ratio, ELLIPSE_CFG)
 
     def test_within_mesh_noise_of_own_mesh(self, fresh_ellipse_memos):
         ratios = np.geomspace(1.0, 40.0, 64).tolist()
         moves = []
         for ratio in ratios:
             own = own_mesh_ellipse_lambda(round(ratio, 9), ELLIPSE_CFG).lambda_
-            moves.append(abs(functional._ellipse_lambda(ratio, ELLIPSE_CFG).lambda_ - own) / own)
+            moves.append(abs(solver._ellipse_lambda(ratio, ELLIPSE_CFG).lambda_ - own) / own)
         # measured: at most 1.03e-5 (ratio 33.6), median 7.6e-8; against
         # meshes four times finer both routes are off by up to 2e-4
         assert max(moves) <= 2e-5
@@ -423,9 +423,9 @@ class TestEllipseLadder:
         # anchors back and forth
         ratios = [1.2345678901, 1.2345678904, 1.0004, 1.0013, 1.0, 1.0021, 1.0009]
         cfg = SolverConfig(target_h=0.2)
-        forward = [functional._ellipse_lambda(r, cfg) for r in ratios]
+        forward = [solver._ellipse_lambda(r, cfg) for r in ratios]
         fresh_ellipse_memos()
-        backward = [functional._ellipse_lambda(r, cfg) for r in reversed(ratios)]
+        backward = [solver._ellipse_lambda(r, cfg) for r in reversed(ratios)]
         assert forward == backward[::-1]
         assert forward[0] == forward[1]
 
@@ -433,8 +433,8 @@ class TestEllipseLadder:
         # perfbench disc-sweep seed 9805 op 1: its 114 ratios, 78 of them
         # within 0.1% of 1, meshed one by one before they shared anchors
         polygons = []
-        build = functional.ellipse_polygon
-        monkeypatch.setattr(functional, "ellipse_polygon", lambda *args: polygons.append(args) or build(*args))
+        build = solver.ellipse_polygon
+        monkeypatch.setattr(solver, "ellipse_polygon", lambda *args: polygons.append(args) or build(*args))
         tracemalloc.start()
         try:
             q_sweep(EllipsoidD([0.8519601523689644] * 2), [0.404253684670609, 0.471307414345069], "max")
@@ -446,7 +446,7 @@ class TestEllipseLadder:
             held -= tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert functional._ELLIPSE_LAMBDA.misses == 114
+        assert solver._ELLIPSE_LAMBDA.misses == 114
         # the golden-section phases descend to ratio 1 through the same
         # bands, and the one-entry assembly memo rebuilds each on its visit
         # (40 builds), from the mesh memo: each anchor's 256-gon is built and

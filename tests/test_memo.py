@@ -61,8 +61,8 @@ def test_ellipse_ratio_is_shared_across_radii():
     H = QuadraticSeminorm([[0.6, -0.8], [0.8, 0.6]], [1.0, 0.5])
     cfg = SolverConfig(target_h=0.2)
     small = eval_F(EllipsoidD([1.0, 1.0]), H, 1.0, cfg)
-    misses, hits = functional._ELLIPSE_LAMBDA.misses, functional._ELLIPSE_LAMBDA.hits
+    misses, hits = solver._ELLIPSE_LAMBDA.misses, solver._ELLIPSE_LAMBDA.hits
     large = eval_F(EllipsoidD([2.0, 2.0]), H, 1.0, cfg)
-    assert functional._ELLIPSE_LAMBDA.misses == misses
-    assert functional._ELLIPSE_LAMBDA.hits == hits + 1
+    assert solver._ELLIPSE_LAMBDA.misses == misses
+    assert solver._ELLIPSE_LAMBDA.hits == hits + 1
     assert large.lambda_ == pytest.approx(small.lambda_ / 4.0, rel=1e-12)

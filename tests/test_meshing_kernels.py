@@ -23,7 +23,7 @@ from anisospec.fem.meshing import (
     _Refiner,
     _sample_boundary,
 )
-from anisospec.functional import _ladder_anchor
+from anisospec.fem.solver import _ladder_anchor
 from anisospec.geometry import ellipse_polygon
 from conftest import (
     LoopRefiner,

@@ -169,14 +169,19 @@ class TestThinSlab:
     LAMBDA = 11.743967957054432
 
     # lambda and T from 60-digit chord sweeps (mpmath) with the direction
-    # (cos theta, sin theta) also taken at 60 digits: the polygon above, and
-    # perfbench quad-polygon seed 10023, op 30, a 5-gon whose smallest slab
-    # at this angle is 2.8e-9 wide. Both angles are optima of the quadratic
-    # optimizer on the rank-1 boundary. The benchmark's checks.rank1_exact,
-    # which rebuilds the slab-end chords from two Gauss points, misses both
-    # lambdas by more than 1e-9 relative, where the library is right
+    # (cos theta, sin theta) also taken at 60 digits, and the relative bound
+    # on the library's error: the polygon above, and perfbench quad-polygon
+    # seed 10023, op 30, a 5-gon whose smallest slab at this angle is 2.8e-9
+    # wide. Both angles are optima of the quadratic optimizer on the rank-1
+    # boundary. The benchmark's checks.rank1_exact, which rebuilds the
+    # slab-end chords from two Gauss points, misses both lambdas by more than
+    # 1e-9 relative, where the library is right. Third, quad-polygon seed
+    # 9802 input 14 at optimize_rank1's 12-digit edge direction, where the
+    # smallest slab is 7.06e-14 wide: vertex projections within GEOM_TOL
+    # merge, so the library is off by 2.2e-13 (lambda) and 2.4e-13 (T), and
+    # rank1_exact reads 5.85065696420001, 1.4e-4 off
     PINNED = {
-        "seed-9944": (VERTICES, THETA, 11.743967957054432417, 0.013794301263499008250),
+        "seed-9944": (VERTICES, THETA, 11.743967957054432417, 0.013794301263499008250, 1e-14),
         "seed-10023": (
             [
                 (-0.5304898707219606, -0.4716385738559799),
@@ -188,15 +193,29 @@ class TestThinSlab:
             0.1566431142731426,
             6.1152534796818023933,
             0.026929606099352806943,
+            1e-14,
+        ),
+        "seed-9802": (
+            [
+                (0.1974330523338844, -0.6497334778575796),
+                (0.18082592785411603, -0.024478916361895933),
+                (0.43312897967920827, 0.6197681637857588),
+                (-0.14264524935408632, 0.18050237412870543),
+                (-0.6687427105131223, -0.12605814369498874),
+            ],
+            0.651714494886,
+            5.8514916481508330895,
+            0.030212531011476933227,
+            1e-12,
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_both_factors_to_roundoff(self, case):
-        vertices, theta, lam, tor = self.PINNED[case]
+        vertices, theta, lam, tor, bound = self.PINNED[case]
         sp = solve_rank1(Polygon2D(vertices), Rank1Seminorm((np.cos(theta), np.sin(theta))))
-        assert abs(sp.lambda_ - lam) / lam <= 1e-14
-        assert abs(sp.torsion - tor) / tor <= 1e-14
+        assert abs(sp.lambda_ - lam) / lam <= bound
+        assert abs(sp.torsion - tor) / tor <= bound
 
     def test_lambda_to_roundoff(self):
         poly = Polygon2D(self.VERTICES)
