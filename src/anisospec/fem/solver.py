@@ -248,10 +248,11 @@ _ELLIPSE_VERTICES = 256
 # relative step of the ladder of anchor ratios whose meshes the ellipse
 # route solves on: the ratios within one step share one mesh
 _LADDER_STEP = 1e-3
-# the last anchor meshes (about 40 KB each), by (anchor, h): the
-# golden-section phases of an ellipse optimizer revisit the ladder bands they
-# crossed, and a revisited band is then refined and assembled again, but not
-# meshed again
+# the last anchor meshes (about 40 KB each), by (anchor, h): a ladder band
+# that an ellipse optimizer comes back to is refined and assembled again,
+# but not meshed again. A two-exponent disc max sweep meshes 27 anchors and
+# comes back to one (27 misses, 1 hit); a five-exponent one (q from 0.5 to
+# 1.5) meshes 68 and comes back 56 times
 _MESHES = Memo(16)
 
 

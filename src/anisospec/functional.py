@@ -81,8 +81,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ALPHA_FLOOR = 5e-3
 _ALPHA_FLOOR_ELLIPSOID = 2.5e-2
 # relative distance from the best value within which optimize_rank1 takes
-# a scan angle's value as a tie: far above rounding (a few ulps on the disc),
-# far below the scan's 1-degree steps
+# a scan angle's value as a tie, and the spread of values below which a
+# golden section of optimize_quadratic keeps its coordinate: far above
+# rounding (a few ulps on the disc), far below the scan's 1-degree steps
 _TIE = 1e-12
 # relative margin by which a grid cell's bound must be worse than the best
 # grid value before the cell is left unsolved, far above the rounding in
@@ -620,9 +621,12 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     is evaluated and, if it is better, the golden-section refinement below
     runs from there. Every other start (a rank-1 boundary cell, or any cell
     of an ellipsoid or a Richardson pair, which carry no gradient) is
-    refined by alternating golden sections in each parameter until both
-    updates fall below 1e-4. A sweep over exponents solves the
-    alpha = 0 column and the first pruning batch once. Tiny alpha is snapped
+    refined by alternating golden sections in alpha, then theta, each
+    round's brackets a third as wide, until neither moves its coordinate by
+    1e-4. A section whose values differ by no more than _TIE relative
+    (rounding, as every theta on a disc or at alpha = 1) keeps its
+    coordinate; its points stay in the trace. A sweep over exponents solves
+    the alpha = 0 column and the first pruning batch once. Tiny alpha is snapped
     to the rank-1 boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids,
     where the stretched eigensolve stops paying for itself), and the
     boundary flag reports alpha* = 0.
@@ -648,12 +652,20 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
         trace.append(((theta, alpha), float(val)))
         return (sign * val, sign * grad) if gradient else sign * val
 
+    def section(g, lo: float, hi: float, kept: float) -> float:
+        # a golden section's minimizer, or the kept coordinate when the
+        # values it evaluated differ only by rounding (_TIE relative)
+        start = len(trace)
+        x, _ = _golden(g, lo, hi, 1e-5)
+        values = [val for _, val in trace[start:]]
+        flat = max(values) - min(values) <= _TIE * max(map(abs, values))
+        return kept if flat else x
+
     def refine(theta: float, alpha: float) -> None:
         d_theta, d_alpha = _GRID_STEPS
         for _ in range(24):
-            new_alpha, _ = _golden(lambda a: f(theta, a), max(0.0, alpha - d_alpha), min(1.0, alpha + d_alpha), 1e-5)
-            new_alpha = snap(new_alpha)
-            new_theta, _ = _golden(lambda t: f(t, new_alpha), theta - d_theta, theta + d_theta, 1e-5)
+            new_alpha = snap(section(lambda a: f(theta, a), max(0.0, alpha - d_alpha), min(1.0, alpha + d_alpha), alpha))
+            new_theta = section(lambda t: f(t, new_alpha), theta - d_theta, theta + d_theta, theta)
             moved = max(abs(new_alpha - alpha), abs(new_theta - theta))
             theta, alpha = float(new_theta % math.pi), new_alpha
             d_theta = max(d_theta / 3.0, 1e-5)

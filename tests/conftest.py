@@ -531,6 +531,12 @@ def loop_optimize_quadratic(domain, q: float, mode: str = "min", cfg=None):
     floor = _ALPHA_FLOOR_ELLIPSOID if isinstance(domain, EllipsoidD) else _ALPHA_FLOOR
     trace = []
 
+    def varies(points):
+        # whether a golden section's values differ by more than rounding:
+        # a section that meets only rounding keeps its coordinate
+        values = [val for _, val in points]
+        return max(values) - min(values) > 1e-12 * max(abs(val) for val in values)
+
     def f(theta, alpha):
         theta = float(theta % math.pi)
         alpha = 0.0 if alpha < floor else min(float(alpha), 1.0)
@@ -545,9 +551,15 @@ def loop_optimize_quadratic(domain, q: float, mode: str = "min", cfg=None):
     theta, alpha = float(theta_grid[it]), float(alpha_grid[ia])
     d_theta, d_alpha = math.pi / 36.0, 0.05
     for _ in range(24):
+        n = len(trace)
         new_alpha, _ = _golden(lambda a: f(theta, a), max(0.0, alpha - d_alpha), min(1.0, alpha + d_alpha), 1e-5)
+        if not varies(trace[n:]):
+            new_alpha = alpha
         new_alpha = 0.0 if new_alpha < floor else float(new_alpha)
+        n = len(trace)
         new_theta, _ = _golden(lambda t: f(t, new_alpha), theta - d_theta, theta + d_theta, 1e-5)
+        if not varies(trace[n:]):
+            new_theta = theta
         moved = max(abs(new_alpha - alpha), abs(new_theta - theta))
         theta, alpha = float(new_theta % math.pi), new_alpha
         d_theta = max(d_theta / 3.0, 1e-5)

@@ -430,8 +430,8 @@ class TestEllipseLadder:
         assert forward[0] == forward[1]
 
     def test_max_op_meshes_once_per_band_visit(self, fresh_ellipse_memos, monkeypatch):
-        # perfbench disc-sweep seed 9805 op 1: its 114 ratios, 78 of them
-        # within 0.1% of 1, meshed one by one before they shared anchors
+        # perfbench disc-sweep seed 9805 op 1: its 40 ratios, meshed one by
+        # one before they shared anchors
         polygons = []
         build = solver.ellipse_polygon
         monkeypatch.setattr(solver, "ellipse_polygon", lambda *args: polygons.append(args) or build(*args))
@@ -446,14 +446,16 @@ class TestEllipseLadder:
             held -= tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert solver._ELLIPSE_LAMBDA.misses == 114
-        # the golden-section phases descend to ratio 1 through the same
-        # bands, and the one-entry assembly memo rebuilds each on its visit
-        # (40 builds), from the mesh memo: each anchor's 256-gon is built and
-        # meshed once
-        assert solver._ASSEMBLIES.misses == 40
-        assert len(polygons) == len(set(polygons)) == 30
-        assert lookups == (30, 10)
+        # on a disc every theta gives the same seminorm, so the theta
+        # sections meet only rounding and keep their angle, and the golden
+        # phases stop once alpha settles
+        assert solver._ELLIPSE_LAMBDA.misses == 40
+        # the one-entry assembly memo rebuilds a band when a later ratio
+        # comes back to it (28 builds), from the mesh memo: each anchor's
+        # 256-gon is built and meshed once
+        assert solver._ASSEMBLIES.misses == 28
+        assert len(polygons) == len(set(polygons)) == 27
+        assert lookups == (27, 1)
         # its last 16 meshes, each of about 700 nodes and 1,300 triangles
         assert 0 < held <= 1 << 20
 
@@ -501,10 +503,11 @@ def _grid_part(report, loop_trace, sign) -> int:
     [
         (STAR6, 1.05, "min", None, False),
         (EllipsoidD([1.0, 1.0]), 1.05, "min", None, False),
+        (EllipsoidD([1.0, 1.0]), 0.5, "max", None, True),
         (STAR6, 2.0, "max", SolverConfig(target_h=0.2, richardson=True), True),
         (STAR6, 2.0, "max", None, True),
     ],
-    ids=["boundary-start", "disc", "richardson", "polished"],
+    ids=["boundary-start", "disc", "disc-max", "richardson", "polished"],
 )
 def test_optimize_quadratic_matches_grid_cell_loop(domain, q, mode, cfg, inner):
     sign = 1.0 if mode == "min" else -1.0
@@ -516,7 +519,7 @@ def test_optimize_quadratic_matches_grid_cell_loop(domain, q, mode, cfg, inner):
     start = grid[int(np.argmin([sign * v for _, v in grid]))][0]
     assert (start[1] > 0.0) == inner
     k = _grid_part(report, trace, sign)
-    if inner and cfg is None:
+    if inner and cfg is None and isinstance(domain, Polygon2D):
         # polished: equal or better, and on the same side of the boundary
         assert sign * report.value <= sign * value
         assert report.boundary_flag == flag
@@ -556,6 +559,34 @@ def test_polish_hands_a_better_boundary_to_the_golden_sections(monkeypatch):
     # the first golden section runs in alpha along the polished angle
     assert handed.trace[n][0][0] == theta and 0.0 < handed.trace[n][0][1] < 0.05
     assert (handed.theta, handed.alpha, handed.value) == (plain.theta, plain.alpha, plain.value)
+
+
+def test_flat_sections_keep_their_coordinate():
+    # on a disc every theta gives the same seminorm, so each theta section
+    # meets only rounding and keeps the grid start's angle, and the alpha
+    # sections alone decide when the loop stops
+    report = optimize_quadratic(DISC, 0.5, "max")
+    grid = report.trace[: 36 * 21]
+    start, value = grid[int(np.argmin([-v for _, v in grid]))]
+    assert len(report.trace) == 799
+    assert (report.theta, report.alpha, report.value) == (start[0], 1.0, value)
+    assert report.value == pytest.approx(3.624466302858458, rel=1e-12)
+
+
+@pytest.mark.parametrize("domain, q, mode", [(STAR6, 1.05, "min"), ("l_shape", 1.0, "min"), ("l_shape", 2.0, "max")])
+def test_flat_rule_leaves_varying_sections_alone(domain, q, mode, l_shape, monkeypatch):
+    # golden sections from a rank-1 boundary start on a star and the
+    # L-shape: with no section ever taken as flat, the same report and trace
+    domain = l_shape if domain == "l_shape" else domain
+
+    def report():
+        r = optimize_quadratic(domain, q, mode)
+        return r.theta, r.alpha, r.value, r.boundary_flag, r.trace
+
+    rule_on = report()
+    assert rule_on[3]
+    monkeypatch.setattr(functional, "_TIE", -math.inf)
+    assert report() == rule_on
 
 
 @pytest.mark.parametrize("theta, alpha", [(0.3, 0.35), (1.9, 0.05)])
