@@ -18,14 +18,15 @@ of one class in array form and sends the whole batch to one solver, and
 routes a batch of one through `_spectral`, the rank-1 optimizer its whole
 angle scan, and the quadratic optimizer its grid: the rank-1 boundary
 column, then the inner cells, as one batch or, on a polygon at one FEM
-level, in midpoint batches that skip the cells the solves' exact gradients
-prove worse than the grid optimum (`_pruned_grid`). From an inner grid
-optimum on such a polygon the quadratic optimizer polishes with the same
-gradients (`_polish`), one batch of one a point; every other quadratic
-optimum, and the rank-1 optimizer's best scan angle, is refined by golden
-sections. Degenerate quadratics (one alpha = 0) are exactly rank-1 and go to
-the exact slicing solver or to a closed form; the zero seminorm is rejected
-as a distinguished error.
+level, on every other angle in midpoint batches that skip the cells the
+solves' exact gradients prove worse than the grid optimum (`_pruned_grid`).
+From an inner grid optimum on such a polygon the quadratic optimizer
+polishes with the same gradients (`_polish`), one batch of one a point,
+from the best cells of the two best angles; every other quadratic optimum,
+and the rank-1 optimizer's best scan angle, is refined by golden sections.
+Degenerate quadratics (one alpha = 0) are exactly rank-1 and go to the exact
+slicing solver or to a closed form; the zero seminorm is rejected as a
+distinguished error.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ _PRUNE_MARGIN = 1e-9
 # relative bound on how far the solves of Q(theta, 1), which is I up to
 # rounding, stray from the Euclidean solve: far above that rounding
 _EUCLID_SLACK = 1e-12
-# the quadratic grid's steps in (theta, alpha), the polish's unit lengths
+# the quadratic grid's steps in (theta, alpha): the rank-1 boundary column's
+# angle step (a polygon's inner cells take every other angle), the golden
+# sections' first half-widths and the polish's unit lengths
 _GRID_STEPS = (math.pi / 36.0, 0.05)
 # the polish stops once its quasi-Newton model promises less than this
 # relative gain, a few times the rounding in one FEM value
@@ -125,9 +128,11 @@ class OptimizationReport:
     optimum sits on the rank-1 boundary of the family. trace holds every
     (parameters, value) evaluation: the scan or the grid cells solved, in
     angle or theta-major order, then the refinement's points in order: the
-    golden-section points, or, after a quadratic polish, its points, the
-    alpha = 0 point at its angle and any golden-section points from there.
-    The quadratic grid leaves out the cells proved worse than its optimum.
+    golden-section points, or, after a quadratic polish, the points of each
+    of its two runs, the alpha = 0 point at the better end's angle and any
+    golden-section points from there. On a polygon at one FEM level the
+    quadratic grid solves inner cells on every other angle only, and leaves
+    out those proved worse than its optimum.
     """
 
     mode: str
@@ -608,27 +613,32 @@ def _pruned_grid(domain, thetas: list, alphas: list, q: float, sign: float, best
 def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | None = None) -> OptimizationReport:
     """Best seminorm in the normalized quadratic family at exponent q.
 
-    Coarse 36 x 21 grid over (theta, alpha), alpha = 0 evaluated by the exact
-    degenerate route, then a refinement from the grid's first best cell in
-    theta-major order. On a polygon at one FEM level, whose solves carry
-    exact gradients, the inner cells (alpha > 0) are solved in rounds of
+    Coarse grid over (theta, alpha): 36 angles by 21 alphas, alpha = 0
+    evaluated by the exact degenerate route, then a refinement from the
+    grid's first best cell in theta-major order. On ellipses and Richardson
+    pairs the inner cells (alpha > 0) go to _route as one batch. On a
+    polygon at one FEM level, whose solves carry exact gradients, only the
+    18 even angles (every 10 degrees) have inner cells, solved in rounds of
     midpoint batches that leave out every cell that concavity bounds prove
-    worse than the grid optimum (`_pruned_grid`), about 50 of the 720 on the
-    benchmark's stars; elsewhere they go to _route as one batch. The optimum
-    is the full grid's either way. From an inner best cell of such a
-    polygon, a projected quasi-Newton polish on those gradients (`_polish`,
-    alpha in [5e-3, 1]) refines; then the exact alpha = 0 value at its angle
-    is evaluated and, if it is better, the golden-section refinement below
-    runs from there. Every other start (a rank-1 boundary cell, or any cell
-    of an ellipsoid or a Richardson pair, which carry no gradient) is
-    refined by alternating golden sections in alpha, then theta, each
-    round's brackets a third as wide, until neither moves its coordinate by
-    1e-4. A section whose values differ by no more than _TIE relative
-    (rounding, as every theta on a disc or at alpha = 1) keeps its
-    coordinate; its points stay in the trace. A sweep over exponents solves
-    the alpha = 0 column and the first pruning batch once. Tiny alpha is snapped
-    to the rank-1 boundary (below 5e-3 for polygons, 2.5e-2 for ellipsoids,
-    where the stretched eigensolve stops paying for itself), and the
+    worse than the grid optimum (`_pruned_grid`): about 20 (min) to 40
+    (max) of the 360 on the benchmark's stars. A grid optimum on the
+    alpha = 0 column or an even angle is the full grid's. From an inner best
+    cell of such a polygon, a projected quasi-Newton polish on those
+    gradients (`_polish`, alpha in [5e-3, 1]) runs from the first best
+    inner cell of each of the two best angles, since a lone start can end
+    in a worse basin, and keeps the better end, ties to the smaller angle;
+    then the exact alpha = 0 value at that angle is evaluated and, if it is
+    better, the golden-section refinement below runs from there. Every
+    other start (a rank-1 boundary cell, or any cell of an ellipsoid or a
+    Richardson pair, which carry no gradient) is refined by alternating
+    golden sections in alpha, then theta, each round's brackets a third as
+    wide, until neither moves its coordinate by 1e-4. A section whose
+    values differ by no more than _TIE relative (rounding, as every theta
+    on a disc or at alpha = 1) keeps its coordinate; its points stay in the
+    trace. A sweep over exponents solves the alpha = 0 column and the first
+    pruning batch once. Tiny alpha is snapped to the rank-1 boundary (below
+    5e-3 for polygons, 2.5e-2 for ellipsoids, where the stretched
+    eigensolve stops paying for itself), and the
     boundary flag reports alpha* = 0.
     """
     domain = _as_planar_domain(domain)
@@ -681,17 +691,29 @@ def optimize_quadratic(domain, q: float, mode: str = "min", cfg: SolverConfig | 
     gradients = isinstance(domain, Polygon2D) and not cfg.richardson
     if gradients:
         best = min(sign * (row[0] * row[1] ** q) for row in rows.values())
-        rows.update(_pruned_grid(domain, theta_grid, alpha_grid[1:], q, sign, best, cfg))
+        # the inner cells on every other angle, each bit for bit a full-grid cell
+        rows.update(_pruned_grid(domain, theta_grid[::2], alpha_grid[1:], q, sign, best, cfg))
     else:
         inner = [cell for cell in cells if cell[1] > 0.0]
         rows.update(zip(inner, _spectra(domain, _family_batch(*zip(*inner)), cfg)))
     # the solved cells in theta-major order, and the first best among them:
-    # every cell left out is worse, so it is np.argmin's cell of the full grid
+    # every cell left out of a solved column is worse, so where the full
+    # grid's optimum is on the boundary or a solved column it is that cell
     trace = [(cell, float(rows[cell][0] * rows[cell][1] ** q)) for cell in cells if cell in rows]
     theta, alpha = trace[int(np.argmin([sign * val for _, val in trace]))][0]
     if gradients and alpha > 0.0:
-        val, grad = _family_gradient(rows[(theta, alpha)], theta, alpha, q)
-        theta, alpha, phi = _polish(lambda t, a: f(t, a, True), theta, alpha, sign * val, sign * grad, floor)
+        # the polish runs from the first best inner cells of the two best
+        # columns, since a lone start on every other angle can end in a
+        # worse basin, and keeps the better end, ties to the smaller angle
+        columns = {}
+        for cell, val in trace:
+            if cell[1] > 0.0:
+                columns.setdefault(cell[0], []).append((sign * val, cell))
+        ends = []
+        for _, (t, a) in sorted(map(min, columns.values()))[:2]:
+            val, grad = _family_gradient(rows[(t, a)], t, a, q)
+            ends.append(_polish(lambda theta, alpha: f(theta, alpha, True), t, a, sign * val, sign * grad, floor))
+        theta, alpha, phi = min(ends, key=lambda e: (e[2], e[0]))
         # the rank-1 boundary at the polished angle, refined as before if it wins
         if f(theta, 0.0) < phi:
             refine(theta, 0.0)

@@ -179,7 +179,11 @@ class TestThinSlab:
     # 9802 input 14 at optimize_rank1's 12-digit edge direction, where the
     # smallest slab is 7.06e-14 wide: vertex projections within GEOM_TOL
     # merge, so the library is off by 2.2e-13 (lambda) and 2.4e-13 (T), and
-    # rank1_exact reads 5.85065696420001, 1.4e-4 off
+    # rank1_exact reads 5.85065696420001, 1.4e-4 off. Last, the min ops of
+    # quad-polygon seeds 28005 (input 8) and 28012 (input 4), 5-gons whose
+    # smallest slabs at the optimizer's angles are 1.44e-9 and 5.13e-9 wide:
+    # the library is right to 7e-16, and rank1_exact misses lambda by
+    # 1.3e-8 and 2.3e-9 relative
     PINNED = {
         "seed-9944": (VERTICES, THETA, 11.743967957054432417, 0.013794301263499008250, 1e-14),
         "seed-10023": (
@@ -207,6 +211,32 @@ class TestThinSlab:
             5.8514916481508330895,
             0.030212531011476933227,
             1e-12,
+        ),
+        "seed-28005": (
+            [
+                (-0.44311977493559024, 0.5885969687217006),
+                (-0.12298439883990726, -0.11959293577197523),
+                (0.02594295184133005, -0.9017328944967471),
+                (0.1437029120044719, -0.15015090479361573),
+                (0.3964583099296955, 0.5828797663406375),
+            ],
+            1.75895405653946,
+            4.2954088711630206581,
+            0.039349622106809677191,
+            1e-14,
+        ),
+        "seed-28012": (
+            [
+                (0.6996066193037678, 0.24961919342618544),
+                (-0.06983246329011684, 0.1909930763137254),
+                (-0.8285824302952496, 0.17349359278937154),
+                (-0.17957102964071997, -0.11378565196698699),
+                (0.3783793039223186, -0.5003202105622954),
+            ],
+            0.023059475879207758,
+            4.3233970719216776676,
+            0.043367364119057060106,
+            1e-14,
         ),
     }
 
